@@ -1,19 +1,16 @@
-//! Physical memory substrate: frame allocation, backing store for
-//! page-table pages, and a DRAMSim2-style main-memory timing model.
+//! Physical memory substrate: frame allocation and a DRAMSim2-style
+//! main-memory timing model.
 //!
 //! The paper's evaluation stack used DRAMSim2 under SST for main-memory
 //! timing and Simics for the actual memory contents (Section VI). This
-//! crate provides the equivalents:
+//! crate provides the frame pool and the timing model; the only contents
+//! the simulation keeps, page-table pages, live in `bf-pgtable`'s table
+//! arena:
 //!
 //! * [`FrameAllocator`] — allocates 4 KB physical frames (and aligned
 //!   contiguous runs for huge pages) out of the modelled 32 GB, with
 //!   per-frame reference counts so CoW pages and the file page cache can
 //!   share frames.
-//! * [`PhysMemory`] — a sparse word-addressable store holding the pages
-//!   that have real contents in the simulation: page-table pages and
-//!   MaskPages. The hardware page walker reads entries *through the cache
-//!   model* at their physical addresses, which is what makes page-table
-//!   sharing produce cache reuse (Fig. 7).
 //! * [`Dram`] — channel/rank/bank timing with open-row tracking
 //!   (row-buffer hits vs misses) and bank busy queueing.
 //!
@@ -31,8 +28,6 @@
 
 pub mod dram;
 pub mod frame;
-pub mod phys;
 
 pub use dram::{Dram, DramConfig, DramStats};
 pub use frame::{FrameAllocator, FrameAllocatorStats};
-pub use phys::PhysMemory;

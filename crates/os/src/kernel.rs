@@ -259,7 +259,7 @@ pub struct KernelStats {
     pub fork_cycles: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 struct RegionKey {
     ccid: Ccid,
     /// `va >> 21`: the 2 MB region index (one PTE table).
@@ -380,7 +380,10 @@ pub struct Kernel {
     store: TableStore,
     page_cache: PageCache,
     aslr: LayoutRandomizer,
-    processes: HashMap<Pid, Process>,
+    /// Live processes, indexed by pid (pids are handed out sequentially
+    /// from 1); `None` for dead pids. Trailing dead slots are trimmed on
+    /// exit, so the slab spans only up to the highest live pid.
+    processes: Vec<Option<Process>>,
     files: HashMap<FileId, u64>,
     shared_regions: HashMap<RegionKey, SharedRegion>,
     /// PMD-table sharing for huge-page mappings: one entry per
@@ -399,29 +402,37 @@ pub struct Kernel {
     telem: KernelTelemetry,
 }
 
+/// The live process `pid` in the pid-indexed slab, if any.
+fn lookup(processes: &[Option<Process>], pid: Pid) -> Option<&Process> {
+    processes.get(pid.raw() as usize)?.as_ref()
+}
+
+/// Mutable twin of [`lookup`].
+fn lookup_mut(processes: &mut [Option<Process>], pid: Pid) -> Option<&mut Process> {
+    processes.get_mut(pid.raw() as usize)?.as_mut()
+}
+
 /// Looks up a process the kernel has already validated as live. When
 /// that invariant is broken the panic names the pid *and the kernel
 /// call site* (`#[track_caller]`), so a `--keep-going` sweep slot or a
 /// CI log pinpoints the buggy path instead of an anonymous
 /// `Option::unwrap` inside this helper.
 ///
-/// A free function over the `processes` field (not a `&self` method) so
+/// A free function over the `processes` slab (not a `&self` method) so
 /// callers can keep disjoint borrows of `self.store` et al. alive
 /// across the lookup.
 #[track_caller]
-fn live_process(processes: &HashMap<Pid, Process>, pid: Pid) -> &Process {
+fn live_process(processes: &[Option<Process>], pid: Pid) -> &Process {
     let caller = std::panic::Location::caller();
-    processes
-        .get(&pid)
+    lookup(processes, pid)
         .unwrap_or_else(|| panic!("no such process {pid} (kernel lookup at {caller})"))
 }
 
 /// Mutable twin of [`live_process`]; same panic contract.
 #[track_caller]
-fn live_process_mut(processes: &mut HashMap<Pid, Process>, pid: Pid) -> &mut Process {
+fn live_process_mut(processes: &mut [Option<Process>], pid: Pid) -> &mut Process {
     let caller = std::panic::Location::caller();
-    processes
-        .get_mut(&pid)
+    lookup_mut(processes, pid)
         .unwrap_or_else(|| panic!("no such process {pid} (kernel lookup at {caller})"))
 }
 
@@ -432,7 +443,7 @@ impl Kernel {
             store: TableStore::new(config.frame_capacity),
             page_cache: PageCache::new(),
             aslr: LayoutRandomizer::new(config.aslr_seed, config.aslr),
-            processes: HashMap::new(),
+            processes: Vec::new(),
             files: HashMap::new(),
             shared_regions: HashMap::new(),
             shared_pmd_regions: HashMap::new(),
@@ -521,15 +532,18 @@ impl Kernel {
         self.next_pid += 1;
         let pcid = self.alloc_pcid()?;
         let space = AddressSpace::new(&mut self.store, pid, pcid, group);
-        self.processes
-            .insert(pid, Process::new(pid, pcid, group, space));
+        let slot = pid.raw() as usize;
+        if slot >= self.processes.len() {
+            self.processes.resize_with(slot + 1, || None);
+        }
+        self.processes[slot] = Some(Process::new(pid, pcid, group, space));
         self.stats.spawns += 1;
         Ok(pid)
     }
 
     /// Whether `pid` is a live process.
     pub fn alive(&self, pid: Pid) -> bool {
-        self.processes.contains_key(&pid)
+        lookup(&self.processes, pid).is_some()
     }
 
     /// Whether an access at `va` by `pid` can resolve: the process is
@@ -537,16 +551,15 @@ impl Kernel {
     /// to drop accesses whose addresses were mangled by trace damage
     /// instead of panicking inside the fault handler.
     pub fn resolvable(&self, pid: Pid, va: VirtAddr) -> bool {
-        self.processes
-            .get(&pid)
-            .is_some_and(|proc| proc.vma_for(va).is_some())
+        lookup(&self.processes, pid).is_some_and(|proc| proc.vma_for(va).is_some())
     }
 
     /// The live members of a CCID group.
     pub fn group_members(&self, group: Ccid) -> Vec<Pid> {
         let mut members: Vec<Pid> = self
             .processes
-            .values()
+            .iter()
+            .flatten()
             .filter(|p| p.ccid() == group)
             .map(|p| p.pid())
             .collect();
@@ -569,7 +582,8 @@ impl Kernel {
     ///
     /// # Panics
     ///
-    /// Panics if the process does not exist.
+    /// Panics — naming the pid and the call site — if the process does
+    /// not exist.
     #[track_caller]
     pub fn space(&self, pid: Pid) -> &AddressSpace {
         &self.process(pid).space
@@ -578,7 +592,7 @@ impl Kernel {
     /// The PC-bitmask bit the process must check for accesses to `va`'s
     /// GB region, if the OS has assigned it one (Fig. 8 / Appendix).
     pub fn pc_bit(&self, pid: Pid, va: VirtAddr) -> Option<usize> {
-        let proc = self.processes.get(&pid)?;
+        let proc = lookup(&self.processes, pid)?;
         let key = (proc.ccid(), va.raw() >> 30);
         self.maskpages.get(&key).and_then(|mp| mp.bit_of(pid))
     }
@@ -637,10 +651,7 @@ impl Kernel {
     /// [`KernelError::NoSuchProcess`] for dead pids.
     pub fn mmap(&mut self, pid: Pid, request: MmapRequest) -> Result<VirtAddr, KernelError> {
         let anon_origin = self.next_anon_origin;
-        let proc = self
-            .processes
-            .get_mut(&pid)
-            .ok_or(KernelError::NoSuchProcess)?;
+        let proc = lookup_mut(&mut self.processes, pid).ok_or(KernelError::NoSuchProcess)?;
         let group_base = self.aslr.group_segment_base(proc.ccid(), request.segment);
         let offset = proc.reserve(request.segment, request.length);
         let start = group_base.offset(offset);
@@ -675,7 +686,7 @@ impl Kernel {
     /// at `start`.
     pub fn munmap(&mut self, pid: Pid, start: VirtAddr) -> Result<Vec<Invalidation>, KernelError> {
         let (vma, ccid, pcid) = {
-            let proc = self.processes.get(&pid).ok_or(KernelError::NoSuchProcess)?;
+            let proc = lookup(&self.processes, pid).ok_or(KernelError::NoSuchProcess)?;
             let vma = *proc.vma_for(start).ok_or(KernelError::NoSuchProcess)?;
             if vma.start() != start {
                 return Err(KernelError::NoSuchProcess);
@@ -746,7 +757,7 @@ impl Kernel {
     /// Sets the ACCESSED flag on the leaf translating `va` (called by the
     /// simulator on L2 TLB fills; drives the "Active" bars of Fig. 9).
     pub fn mark_accessed(&mut self, pid: Pid, va: VirtAddr) {
-        let Some(proc) = self.processes.get_mut(&pid) else {
+        let Some(proc) = lookup_mut(&mut self.processes, pid) else {
             return;
         };
         let walk = proc.space.walk(&self.store, va);
@@ -789,7 +800,7 @@ impl Kernel {
         va: VirtAddr,
         is_write: bool,
     ) -> Result<FaultResolution, FaultError> {
-        let proc = self.processes.get(&pid).ok_or(FaultError::NoSuchProcess)?;
+        let proc = lookup(&self.processes, pid).ok_or(FaultError::NoSuchProcess)?;
         let vma = *proc.vma_for(va).ok_or(FaultError::SegFault)?;
         let walk = proc.space.walk(&self.store, va);
 
@@ -1346,7 +1357,7 @@ impl Kernel {
 
         // Set ORPC on the remaining sharers' pmd_t entries (Fig. 5a).
         for member in &remaining {
-            if let Some(proc) = self.processes.get_mut(member) {
+            if let Some(proc) = lookup_mut(&mut self.processes, *member) {
                 proc.space
                     .set_pmd_opc(&mut self.store, va, None, Some(true));
             }
@@ -1404,7 +1415,7 @@ impl Kernel {
                     self.store.write(private, i, entry);
                 }
             }
-            if let Some(proc) = self.processes.get_mut(&member) {
+            if let Some(proc) = lookup_mut(&mut self.processes, member) {
                 proc.space
                     .replace_table(&mut self.store, va, PageTableLevel::Pte, private);
                 proc.space
@@ -1475,7 +1486,7 @@ impl Kernel {
         &mut self,
         parent_pid: Pid,
     ) -> Result<(Pid, Cycles, Vec<Invalidation>), KernelError> {
-        if !self.processes.contains_key(&parent_pid) {
+        if lookup(&self.processes, parent_pid).is_none() {
             return Err(KernelError::NoSuchProcess);
         }
         let (mut vmas, cursors, ccid, parent_pcid) = {
@@ -1743,9 +1754,16 @@ impl Kernel {
     /// survive for their other sharers, Section IV-B) and returns the
     /// TLB invalidations to apply.
     pub fn exit(&mut self, pid: Pid) -> Vec<Invalidation> {
-        let Some(proc) = self.processes.remove(&pid) else {
+        let Some(proc) = self
+            .processes
+            .get_mut(pid.raw() as usize)
+            .and_then(Option::take)
+        else {
             return Vec::new();
         };
+        while self.processes.last().is_some_and(Option::is_none) {
+            self.processes.pop();
+        }
         let pcid = proc.pcid();
         let ccid = proc.ccid();
         // Drop region memberships (the registry keeps empty regions'
@@ -1759,23 +1777,27 @@ impl Kernel {
         proc.space.destroy(&mut self.store);
         // When the whole group is gone, release the registry references
         // and MaskPages.
-        if !self.processes.values().any(|p| p.ccid() == ccid) {
-            let dead: Vec<RegionKey> = self
+        if !self.processes.iter().flatten().any(|p| p.ccid() == ccid) {
+            let mut dead: Vec<RegionKey> = self
                 .shared_regions
                 .keys()
                 .filter(|k| k.ccid == ccid)
                 .copied()
                 .collect();
+            // Key order, not `HashMap` order: later allocations recycle
+            // the freed frames, so the order shapes the physical layout.
+            dead.sort_unstable();
             for key in dead {
                 let region = self.shared_regions.remove(&key).unwrap();
                 self.store.release_table(region.pte_table);
             }
-            let dead_pmd: Vec<(Ccid, u64)> = self
+            let mut dead_pmd: Vec<(Ccid, u64)> = self
                 .shared_pmd_regions
                 .keys()
                 .filter(|(g, _)| *g == ccid)
                 .copied()
                 .collect();
+            dead_pmd.sort_unstable();
             for key in dead_pmd {
                 let region = self.shared_pmd_regions.remove(&key).unwrap();
                 self.store.release_table(region.pte_table);
@@ -2240,6 +2262,30 @@ mod tests {
             0,
             "group death reclaims everything, including the registry reference"
         );
+    }
+
+    /// A dead group's shared tables go back to the frame pool, and later
+    /// allocations recycle them, so the release order must not follow
+    /// `HashMap` iteration (seeded differently in every kernel).
+    #[test]
+    fn group_death_releases_shared_tables_in_a_repeatable_order() {
+        fn frames_after_group_death() -> Vec<Ppn> {
+            let mut k = kernel(true);
+            let regions = 12;
+            let region = PageSize::Size2M.bytes();
+            let (a, b, va) = two_mappers(&mut k, regions * region);
+            for i in 0..regions {
+                k.handle_fault(a, va.offset(i * region), false).unwrap();
+                k.handle_fault(b, va.offset(i * region), false).unwrap();
+            }
+            k.exit(a);
+            k.exit(b);
+            assert_eq!(k.store().stats().live_tables, 0);
+            (0..2 * regions)
+                .map(|_| k.store.frames.alloc().unwrap())
+                .collect()
+        }
+        assert_eq!(frames_after_group_death(), frames_after_group_death());
     }
 
     #[test]

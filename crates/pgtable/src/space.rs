@@ -25,21 +25,25 @@ pub struct WalkStep {
 
 /// The outcome of a software page walk: every entry visited, in order,
 /// stopping at the first non-present entry or at a leaf.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+///
+/// A walk visits at most four levels, so the steps live inline: the
+/// result is `Copy` and building it never touches the heap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalkResult {
-    steps: Vec<WalkStep>,
+    steps: [WalkStep; 4],
+    len: usize,
 }
 
 impl WalkResult {
     /// The visited entries, root first.
     pub fn steps(&self) -> &[WalkStep] {
-        &self.steps
+        &self.steps[..self.len]
     }
 
     /// The present leaf translation, if the walk completed: the entry
     /// value and the page size it maps.
     pub fn leaf(&self) -> Option<(EntryValue, PageSize)> {
-        let last = self.steps.last()?;
+        let last = self.steps().last()?;
         if !last.value.is_present() {
             return None;
         }
@@ -58,7 +62,7 @@ impl WalkResult {
     /// The first level whose entry was not present (where a fault must be
     /// serviced), if the walk did not complete.
     pub fn missing_level(&self) -> Option<PageTableLevel> {
-        match self.steps.last() {
+        match self.steps().last() {
             None => Some(PageTableLevel::Pgd),
             Some(step) if !step.value.is_present() => Some(step.level),
             _ => None,
@@ -68,7 +72,7 @@ impl WalkResult {
     /// The step through the PMD level, if the walk got that far — the
     /// entry carrying the BabelFish O/ORPC bits (Fig. 5a).
     pub fn pmd_step(&self) -> Option<&WalkStep> {
-        self.steps.iter().find(|s| s.level == PageTableLevel::Pmd)
+        self.steps().iter().find(|s| s.level == PageTableLevel::Pmd)
     }
 }
 
@@ -164,31 +168,43 @@ impl AddressSpace {
     /// Software page walk for `va` (Fig. 2), recording each visited
     /// entry. Stops at the first non-present entry or at the leaf.
     pub fn walk(&self, store: &TableStore, va: VirtAddr) -> WalkResult {
-        let mut steps = Vec::with_capacity(4);
+        let unused = WalkStep {
+            level: PageTableLevel::Pgd,
+            table: Ppn::new(0),
+            index: 0,
+            entry_addr: PhysAddr::new(0),
+            value: EntryValue::empty(),
+        };
+        let mut walk = WalkResult {
+            steps: [unused; 4],
+            len: 0,
+        };
         let mut table = self.pgd;
         for level in PageTableLevel::ALL {
             let index = va.level_index(level);
             let entry_addr = EntryValue::entry_addr(table, index);
             let value = store.read(table, index);
-            steps.push(WalkStep {
+            walk.steps[walk.len] = WalkStep {
                 level,
                 table,
                 index,
                 entry_addr,
                 value,
-            });
+            };
+            walk.len += 1;
             if !value.is_present() || level == PageTableLevel::Pte || value.is_huge_leaf() {
                 break;
             }
             table = value.ppn;
         }
+        let depth = walk.len as u64;
         store.telemetry().walks.incr();
-        store.telemetry().walk_depth.record(steps.len() as u64);
+        store.telemetry().walk_depth.record(depth);
         store
             .telemetry()
             .spans
-            .instant("pgtable.walk", &[("levels", steps.len() as u64)]);
-        WalkResult { steps }
+            .instant("pgtable.walk", &[("levels", depth)]);
+        walk
     }
 
     /// Maps `va → frame` at the given page size, allocating private

@@ -1913,7 +1913,7 @@ impl Machine {
         let ccid = self.kernel.process(pid).ccid();
         let mut cycles: Cycles = 0;
         let mut path: PathSig = 0;
-        let steps = walk.steps().to_vec();
+        let steps = walk.steps();
         let last = steps.len().saturating_sub(1);
         let tracing = self.tracing;
         // Trace cursor at walk entry; each step span ends at its own
