@@ -1,5 +1,6 @@
 //! The per-core page-walk cache (PWC).
 
+use crate::set_assoc::{CacheConfig, SetAssocCache};
 use bf_telemetry::{Counter, Registry};
 use bf_types::{Cycles, PageTableLevel, PhysAddr};
 
@@ -43,13 +44,6 @@ pub struct PwcStats {
     pub misses: u64,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct PwcWay {
-    valid: bool,
-    tag: u64,
-    last_used: u64,
-}
-
 /// A per-core translation cache over the upper page-table levels.
 ///
 /// Entries are keyed by the *physical address of the page-table entry*
@@ -61,6 +55,10 @@ struct PwcWay {
 ///
 /// Leaf PTE entries are never cached here (the PWC "stores a few
 /// recently-accessed entries of the first three tables", Section II-B).
+///
+/// Each level is a [`SetAssocCache`] over entry numbers
+/// (`entry_addr / 8`), so the PWC shares the cache core's arena, LRU
+/// and counters.
 ///
 /// # Examples
 ///
@@ -77,10 +75,8 @@ struct PwcWay {
 #[derive(Debug)]
 pub struct PageWalkCache {
     config: PwcConfig,
-    /// Sets for PGD, PUD, PMD (index = level depth).
-    levels: [Vec<Vec<PwcWay>>; 3],
-    clock: u64,
-    stats: PwcStats,
+    /// PGD, PUD, PMD (index = level depth).
+    levels: [SetAssocCache; 3],
     telem_hits: Counter,
     telem_misses: Counter,
     spans: bf_telemetry::SpanTracer,
@@ -99,13 +95,17 @@ impl PageWalkCache {
                 && config.entries_per_level.is_multiple_of(config.ways),
             "entries_per_level must be a positive multiple of ways"
         );
-        let sets = config.entries_per_level / config.ways;
-        let make = || vec![vec![PwcWay::default(); config.ways]; sets];
+        // One "line" per cached entry.
+        let level = CacheConfig {
+            size_bytes: config.entries_per_level as u64,
+            ways: config.ways,
+            line_bytes: 1,
+            access_cycles: config.access_cycles,
+            mshrs: 0,
+        };
         PageWalkCache {
             config,
-            levels: [make(), make(), make()],
-            clock: 0,
-            stats: PwcStats::default(),
+            levels: std::array::from_fn(|_| SetAssocCache::new(level)),
             telem_hits: Counter::new(),
             telem_misses: Counter::new(),
             spans: bf_telemetry::SpanTracer::new(),
@@ -128,7 +128,13 @@ impl PageWalkCache {
 
     /// Hit/miss counters.
     pub fn stats(&self) -> PwcStats {
-        self.stats
+        self.levels.iter().fold(PwcStats::default(), |acc, level| {
+            let s = level.stats();
+            PwcStats {
+                hits: acc.hits + s.hits,
+                misses: acc.misses + s.misses,
+            }
+        })
     }
 
     /// Looks up the entry at `entry_addr` for `level`, refreshing LRU
@@ -139,34 +145,14 @@ impl PageWalkCache {
     /// Panics if `level` is [`PageTableLevel::Pte`] — leaf entries are not
     /// cached in a PWC.
     pub fn probe(&mut self, level: PageTableLevel, entry_addr: PhysAddr) -> bool {
-        self.clock += 1;
-        let clock = self.clock;
-        let sets = self.level_sets(level);
-        let set_count = sets.len() as u64;
-        let key = entry_addr.raw() / 8;
-        let set = &mut sets[(key % set_count) as usize];
-        let hit = set.iter_mut().any(|way| {
-            if way.valid && way.tag == key {
-                way.last_used = clock;
-                true
-            } else {
-                false
-            }
-        });
-        let depth = match level {
-            PageTableLevel::Pgd => 0,
-            PageTableLevel::Pud => 1,
-            PageTableLevel::Pmd => 2,
-            PageTableLevel::Pte => unreachable!("level_sets rejected PTE"),
-        };
+        let depth = depth(level);
+        let hit = self.levels[depth].probe_and_touch(entry_addr.raw() / 8, false);
         if hit {
-            self.stats.hits += 1;
             self.telem_hits.incr();
-            self.spans.instant("pwc.hit", &[("level", depth)]);
+            self.spans.instant("pwc.hit", &[("level", depth as u64)]);
         } else {
-            self.stats.misses += 1;
             self.telem_misses.incr();
-            self.spans.instant("pwc.miss", &[("level", depth)]);
+            self.spans.instant("pwc.miss", &[("level", depth as u64)]);
         }
         hit
     }
@@ -177,57 +163,27 @@ impl PageWalkCache {
     ///
     /// Panics if `level` is [`PageTableLevel::Pte`].
     pub fn fill(&mut self, level: PageTableLevel, entry_addr: PhysAddr) {
-        self.clock += 1;
-        let clock = self.clock;
-        let sets = self.level_sets(level);
-        let set_count = sets.len() as u64;
-        let set = &mut sets[(entry_addr.raw() / 8 % set_count) as usize];
-        let key = entry_addr.raw() / 8;
-        if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == key) {
-            way.last_used = clock;
-            return;
-        }
-        let victim = set
-            .iter_mut()
-            .min_by_key(|w| if w.valid { w.last_used } else { 0 })
-            .expect("PWC set has at least one way");
-        *victim = PwcWay {
-            valid: true,
-            tag: key,
-            last_used: clock,
-        };
+        self.levels[depth(level)].fill(entry_addr.raw() / 8, false);
     }
 
     /// Drops every cached entry (e.g. on a full TLB shootdown).
     pub fn flush(&mut self) {
-        for level in &mut self.levels {
-            for set in level.iter_mut() {
-                for way in set.iter_mut() {
-                    way.valid = false;
-                }
-            }
-        }
+        self.levels.iter_mut().for_each(SetAssocCache::flush);
     }
 
     /// Drops a single cached entry if present.
     pub fn invalidate(&mut self, level: PageTableLevel, entry_addr: PhysAddr) {
-        let sets = self.level_sets(level);
-        let set_count = sets.len() as u64;
-        let key = entry_addr.raw() / 8;
-        for way in sets[(key % set_count) as usize].iter_mut() {
-            if way.valid && way.tag == key {
-                way.valid = false;
-            }
-        }
+        self.levels[depth(level)].invalidate(entry_addr.raw() / 8);
     }
+}
 
-    fn level_sets(&mut self, level: PageTableLevel) -> &mut Vec<Vec<PwcWay>> {
-        match level {
-            PageTableLevel::Pgd => &mut self.levels[0],
-            PageTableLevel::Pud => &mut self.levels[1],
-            PageTableLevel::Pmd => &mut self.levels[2],
-            PageTableLevel::Pte => panic!("PTE entries are not cached in the PWC"),
-        }
+/// Index of a cached level in [`PageWalkCache::levels`].
+fn depth(level: PageTableLevel) -> usize {
+    match level {
+        PageTableLevel::Pgd => 0,
+        PageTableLevel::Pud => 1,
+        PageTableLevel::Pmd => 2,
+        PageTableLevel::Pte => panic!("PTE entries are not cached in the PWC"),
     }
 }
 

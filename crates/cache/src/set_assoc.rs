@@ -101,19 +101,39 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+/// Tag word of a way that holds no line. A resident tag word is
+/// `tag << 1 | dirty`; tags are line numbers divided by the set count,
+/// so they never reach `u64::MAX >> 1`.
+const EMPTY: u64 = u64::MAX;
+
+/// One way: 16 bytes, so a 16-way L3 set spans four host cache lines
+/// and an 8-way L1/L2 set spans two.
+#[derive(Debug, Clone, Copy)]
 struct Way {
-    valid: bool,
-    tag: u64,
-    dirty: bool,
+    /// `tag << 1 | dirty`, or [`EMPTY`].
+    word: u64,
+    /// LRU stamp: the cache clock at the last touch, `0` while empty.
+    /// The clock ticks before every probe and fill, so a resident way's
+    /// stamp is at least 1 and the oldest-stamp scan prefers the first
+    /// empty way without a separate pass.
     last_used: u64,
 }
+
+const EMPTY_WAY: Way = Way {
+    word: EMPTY,
+    last_used: 0,
+};
 
 /// One physically-tagged, set-associative, write-back cache with LRU
 /// replacement.
 ///
 /// The cache operates on *line numbers* (`PhysAddr::cache_line()`), not raw
 /// addresses, so callers decide the line granularity once.
+///
+/// Ways live in one flat, set-major arena. The set index and tag are a
+/// mask and a shift when the set count is a power of two (every Table I
+/// geometry) and `%` / `/` otherwise; the two agree for powers of two,
+/// so the choice cannot move a metric.
 ///
 /// # Examples
 ///
@@ -129,7 +149,13 @@ struct Way {
 #[derive(Debug)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    sets: Vec<Vec<Way>>,
+    ways: Box<[Way]>,
+    sets: usize,
+    /// `sets - 1` and `log2(sets)` when `sets` is a power of two
+    /// (`pow2_sets`); unused otherwise.
+    set_mask: u64,
+    set_shift: u32,
+    pow2_sets: bool,
     clock: u64,
     stats: CacheStats,
 }
@@ -145,7 +171,11 @@ impl SetAssocCache {
         assert!(sets > 0, "cache must have at least one set");
         SetAssocCache {
             config,
-            sets: vec![vec![Way::default(); config.ways]; sets],
+            ways: vec![EMPTY_WAY; sets * config.ways].into_boxed_slice(),
+            sets,
+            set_mask: sets as u64 - 1,
+            set_shift: sets.trailing_zeros(),
+            pow2_sets: sets.is_power_of_two(),
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -163,17 +193,17 @@ impl SetAssocCache {
 
     /// Looks up `line`; on a hit, refreshes LRU state and (for writes)
     /// sets the dirty bit. Returns whether the line was present.
+    #[inline]
     pub fn probe_and_touch(&mut self, line: u64, is_write: bool) -> bool {
         self.clock += 1;
         let clock = self.clock;
-        let set_index = self.set_index(line);
-        let tag = self.tag(line);
-        let set = &mut self.sets[set_index];
-        for way in set.iter_mut() {
-            if way.valid && way.tag == tag {
+        let (set, tag) = self.split(line);
+        let key = tag << 1 | 1;
+        for way in self.set_mut(set) {
+            if way.word | 1 == key {
                 way.last_used = clock;
                 if is_write {
-                    way.dirty = true;
+                    way.word |= 1;
                 }
                 self.stats.hits += 1;
                 return true;
@@ -186,73 +216,103 @@ impl SetAssocCache {
     /// Inserts `line` (evicting the LRU way if the set is full) and
     /// returns the evicted line number if a valid line was displaced.
     /// `dirty` marks the incoming line as modified.
+    ///
+    /// One pass over the set finds an already-resident copy (refreshed
+    /// in place, e.g. racing fills), else the first empty way, else the
+    /// least-recently-used way.
     pub fn fill(&mut self, line: u64, dirty: bool) -> Option<u64> {
         self.clock += 1;
         let clock = self.clock;
-        let set_index = self.set_index(line);
-        let tag = self.tag(line);
-        let sets_count = self.sets.len() as u64;
-        let set = &mut self.sets[set_index];
-
-        // Already present (e.g. racing fills): refresh.
-        if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
-            way.last_used = clock;
-            way.dirty |= dirty;
+        let (set, tag) = self.split(line);
+        debug_assert!(tag < EMPTY >> 1, "line {line} overflows the tag word");
+        let key = tag << 1 | 1;
+        let ways = self.set_mut(set);
+        let mut victim = 0;
+        let mut oldest = u64::MAX;
+        for (i, way) in ways.iter_mut().enumerate() {
+            if way.word | 1 == key {
+                way.last_used = clock;
+                way.word |= dirty as u64;
+                return None;
+            }
+            if way.last_used < oldest {
+                oldest = way.last_used;
+                victim = i;
+            }
+        }
+        let old = std::mem::replace(
+            &mut ways[victim],
+            Way {
+                word: tag << 1 | dirty as u64,
+                last_used: clock,
+            },
+        );
+        self.stats.fills += 1;
+        if old.word == EMPTY {
             return None;
         }
-
-        let victim_index = set
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, w)| if w.valid { w.last_used } else { 0 })
-            .map(|(i, _)| i)
-            .expect("cache set has at least one way");
-        let victim = set[victim_index];
-        set[victim_index] = Way {
-            valid: true,
-            tag,
-            dirty,
-            last_used: clock,
-        };
-        self.stats.fills += 1;
-        if victim.valid {
-            self.stats.evictions += 1;
-            if victim.dirty {
-                self.stats.writebacks += 1;
-            }
-            Some(victim.tag * sets_count + set_index as u64)
-        } else {
-            None
-        }
+        self.stats.evictions += 1;
+        self.stats.writebacks += old.word & 1;
+        Some(self.join(set, old.word >> 1))
     }
 
     /// Drops `line` if present (used for cache-coherent invalidations of
     /// page-table lines on unmap).
     pub fn invalidate(&mut self, line: u64) {
-        let set_index = self.set_index(line);
-        let tag = self.tag(line);
-        for way in &mut self.sets[set_index] {
-            if way.valid && way.tag == tag {
-                way.valid = false;
+        let (set, tag) = self.split(line);
+        let key = tag << 1 | 1;
+        for way in self.set_mut(set) {
+            if way.word | 1 == key {
+                *way = EMPTY_WAY;
             }
         }
     }
 
+    /// Drops every line. Counters and the LRU clock are kept.
+    pub fn flush(&mut self) {
+        self.ways.fill(EMPTY_WAY);
+    }
+
     /// Number of valid lines currently resident.
     pub fn resident_lines(&self) -> usize {
-        self.sets
-            .iter()
-            .flat_map(|set| set.iter())
-            .filter(|w| w.valid)
-            .count()
+        self.ways.iter().filter(|w| w.word != EMPTY).count()
     }
 
-    fn set_index(&self, line: u64) -> usize {
-        (line % self.sets.len() as u64) as usize
+    /// Every way in set-major order: the resident line and its dirty bit,
+    /// or `None` for an empty way. An inspection view for tests and
+    /// debugging; it pins where a fill lands, not just what it evicts.
+    pub fn ways(&self) -> impl Iterator<Item = Option<(u64, bool)>> + '_ {
+        let per_set = self.config.ways;
+        self.ways.iter().enumerate().map(move |(i, w)| {
+            (w.word != EMPTY).then(|| (self.join(i / per_set, w.word >> 1), w.word & 1 == 1))
+        })
     }
 
-    fn tag(&self, line: u64) -> u64 {
-        line / self.sets.len() as u64
+    /// The ways of set `set`.
+    #[inline(always)]
+    fn set_mut(&mut self, set: usize) -> &mut [Way] {
+        let per_set = self.config.ways;
+        &mut self.ways[set * per_set..(set + 1) * per_set]
+    }
+
+    /// Splits a line number into (set index, tag).
+    #[inline(always)]
+    fn split(&self, line: u64) -> (usize, u64) {
+        if self.pow2_sets {
+            ((line & self.set_mask) as usize, line >> self.set_shift)
+        } else {
+            ((line % self.sets as u64) as usize, line / self.sets as u64)
+        }
+    }
+
+    /// The line number with the given set index and tag.
+    #[inline(always)]
+    fn join(&self, set: usize, tag: u64) -> u64 {
+        if self.pow2_sets {
+            tag << self.set_shift | set as u64
+        } else {
+            tag * self.sets as u64 + set as u64
+        }
     }
 }
 
@@ -366,5 +426,50 @@ mod tests {
         cache.probe_and_touch(0, false);
         cache.probe_and_touch(1, false);
         assert!((cache.stats().hit_rate() - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn flush_empties_every_way() {
+        let mut cache = tiny();
+        for line in 0..8 {
+            cache.fill(line, line % 2 == 0);
+        }
+        assert_eq!(cache.resident_lines(), 8);
+        cache.flush();
+        assert_eq!(cache.resident_lines(), 0);
+        assert!(cache.ways().all(|w| w.is_none()));
+        // Empty again: the next fills evict nothing.
+        assert_eq!(cache.fill(0, false), None);
+        assert_eq!(cache.fill(4, false), None);
+    }
+
+    #[test]
+    fn non_pow2_sets_split_with_modulo() {
+        // 3 sets × 2 ways: lines 0, 3, 6 share set 0.
+        let mut cache = SetAssocCache::new(CacheConfig {
+            size_bytes: 6 * 64,
+            ways: 2,
+            line_bytes: 64,
+            access_cycles: 1,
+            mshrs: 1,
+        });
+        assert!(!cache.pow2_sets);
+        cache.fill(0, false);
+        cache.fill(3, true);
+        cache.fill(1, false);
+        assert_eq!(cache.fill(6, false), Some(0));
+        assert_eq!(cache.fill(9, false), Some(3));
+        assert_eq!(cache.stats().writebacks, 1);
+    }
+
+    #[test]
+    fn fill_takes_the_first_empty_way() {
+        let mut cache = tiny();
+        cache.fill(0, false); // set 0, way 0
+        cache.fill(4, false); // set 0, way 1
+        cache.invalidate(0);
+        cache.invalidate(4);
+        cache.fill(8, true);
+        assert_eq!(cache.ways().next(), Some(Some((8, true))));
     }
 }

@@ -10,7 +10,7 @@ use bf_telemetry::{Counter, Histogram, Registry};
 use bf_types::{
     Ccid, Cycles, PageFlags, PageSize, PageTableLevel, Pcid, Pid, Ppn, VirtAddr, TABLE_ENTRIES,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Kernel policy and cost model.
 ///
@@ -390,7 +390,10 @@ pub struct Kernel {
     /// (group, 1 GB region) — "if the application uses 2MB huge pages,
     /// BabelFish automatically tries to merge PMD tables" (§IV-C).
     shared_pmd_regions: HashMap<(Ccid, u64), SharedRegion>,
-    maskpages: HashMap<(Ccid, u64), MaskPage>,
+    /// MaskPages by (group, 1 GB region). Few keys and looked up on
+    /// every access (`pc_bit`), so an ordered map: no hashing, and
+    /// iteration is already in key order.
+    maskpages: BTreeMap<(Ccid, u64), MaskPage>,
     overflowed: HashSet<(Ccid, u64)>,
     next_pid: u32,
     next_ccid: u16,
@@ -447,7 +450,7 @@ impl Kernel {
             files: HashMap::new(),
             shared_regions: HashMap::new(),
             shared_pmd_regions: HashMap::new(),
-            maskpages: HashMap::new(),
+            maskpages: BTreeMap::new(),
             overflowed: HashSet::new(),
             next_pid: 1,
             next_ccid: 0,
@@ -611,17 +614,12 @@ impl Kernel {
         self.maskpages.len()
     }
 
-    /// Every live MaskPage with its (group, GB-region) key, sorted by
-    /// key so walkers (e.g. invariant checks) see a deterministic order
-    /// regardless of `HashMap` iteration.
-    pub fn maskpages(&self) -> Vec<(Ccid, u64, &MaskPage)> {
-        let mut pages: Vec<_> = self
-            .maskpages
+    /// Every live MaskPage with its (group, GB-region) key, in key order
+    /// so walkers (e.g. invariant checks) see a deterministic sequence.
+    pub fn maskpages(&self) -> impl Iterator<Item = (Ccid, u64, &MaskPage)> {
+        self.maskpages
             .iter()
             .map(|(&(ccid, region), mp)| (ccid, region, mp))
-            .collect();
-        pages.sort_by_key(|&(ccid, region, _)| (ccid, region));
-        pages
     }
 
     /// The PC bitmask the hardware loads into the TLB for `va`'s 2 MB

@@ -283,10 +283,14 @@ impl TlbStats {
     }
 }
 
+/// Key of a slot that holds no translation. VPNs are virtual addresses
+/// shifted right by at least 12 bits, so no resident key reaches it.
+const EMPTY: u64 = u64::MAX;
+
+/// The payload of a resident slot. Its VPN and validity live in the
+/// parallel key array ([`Tlb::keys`]), which every scan reads first.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
-    valid: bool,
-    vpn: Vpn,
     ppn: Ppn,
     size: PageSize,
     flags: PageFlags,
@@ -300,8 +304,6 @@ struct Entry {
 impl Default for Entry {
     fn default() -> Self {
         Entry {
-            valid: false,
-            vpn: Vpn::default(),
             ppn: Ppn::default(),
             size: PageSize::Size4K,
             flags: PageFlags::empty(),
@@ -325,6 +327,11 @@ impl Default for Entry {
 /// L2) — for power-of-two counts the two are identical, so the layout
 /// change cannot move any metric.
 ///
+/// A parallel array of 8-byte VPN keys (one per slot, `u64::MAX` when
+/// the slot is free) is the only record of residency: scans compare
+/// keys and read a slot's entry only on a VPN match, and a structure
+/// with nothing resident answers a lookup without scanning at all.
+///
 /// # Examples
 ///
 /// See the [crate-level example](crate).
@@ -332,6 +339,8 @@ impl Default for Entry {
 pub struct Tlb {
     config: TlbConfig,
     mode: LookupMode,
+    /// VPN of each slot, or [`EMPTY`].
+    keys: Box<[u64]>,
     entries: Box<[Entry]>,
     sets: usize,
     ways: usize,
@@ -339,7 +348,7 @@ pub struct Tlb {
     /// `pow2_sets == false`.
     set_mask: u64,
     pow2_sets: bool,
-    /// Count of valid entries, maintained incrementally on
+    /// Count of non-empty keys, maintained incrementally on
     /// fill/invalidate/flush so `resident_entries` never rescans.
     resident: usize,
     clock: u64,
@@ -366,6 +375,7 @@ impl Tlb {
         let sets = config.sets();
         let pow2_sets = sets.is_power_of_two();
         Tlb {
+            keys: vec![EMPTY; config.entries].into_boxed_slice(),
             entries: vec![Entry::default(); config.entries].into_boxed_slice(),
             sets,
             ways: config.ways,
@@ -457,7 +467,7 @@ impl Tlb {
     /// the incremental counter).
     #[cfg(test)]
     fn resident_scan(&self) -> usize {
-        self.entries.iter().filter(|e| e.valid).count()
+        self.keys.iter().filter(|&&k| k != EMPTY).count()
     }
 
     /// Performs one lookup, updating LRU state and statistics.
@@ -477,10 +487,18 @@ impl Tlb {
         let mut bitmask_consulted = false;
         let mut outcome: Option<(usize, Hit, bool)> = None;
 
-        for (way_index, entry) in self.entries[base..base + self.ways].iter().enumerate() {
-            if !entry.valid || entry.vpn != req.vpn {
+        // An empty structure (the 2 MB / 1 GB TLBs on every 4 KB-only
+        // workload) skips the scan; the miss is counted below as usual.
+        let keys: &[u64] = if self.resident == 0 {
+            &[]
+        } else {
+            &self.keys[base..base + self.ways]
+        };
+        for (way_index, &key) in keys.iter().enumerate() {
+            if key != req.vpn.raw() {
                 continue;
             }
+            let entry = &self.entries[base + way_index];
             match mode {
                 LookupMode::Conventional => {
                     // Fig. 1: VPN + PCID must match.
@@ -567,6 +585,9 @@ impl Tlb {
         let set_index = self.set_index(fill.vpn);
         let range = self.set_range(set_index);
         let mode = self.mode;
+        let vpn = fill.vpn.raw();
+        debug_assert_ne!(vpn, EMPTY, "VPN collides with the empty-slot key");
+        let keys = &mut self.keys[range.clone()];
         let set = &mut self.entries[range];
 
         // A private copy arriving while the group's shared entry is
@@ -574,26 +595,32 @@ impl Tlb {
         // this VPN (the CoW protocol of Section III-A).
         let ownership_transition = mode == LookupMode::BabelFish
             && fill.owned
-            && set
-                .iter()
-                .any(|e| e.valid && e.vpn == fill.vpn && e.ccid == fill.ccid && !e.opc.is_owned());
+            && (0..keys.len())
+                .any(|i| keys[i] == vpn && set[i].ccid == fill.ccid && !set[i].opc.is_owned());
 
-        let same_identity = |e: &Entry| {
-            e.valid
-                && e.vpn == fill.vpn
-                && match mode {
-                    LookupMode::Conventional => e.pcid == fill.pcid,
-                    LookupMode::BabelFish => {
-                        e.ccid == fill.ccid
-                            && e.opc.is_owned() == fill.owned
-                            && (!fill.owned || e.pcid == fill.pcid)
-                    }
-                }
+        let same_identity = |e: &Entry| match mode {
+            LookupMode::Conventional => e.pcid == fill.pcid,
+            LookupMode::BabelFish => {
+                e.ccid == fill.ccid
+                    && e.opc.is_owned() == fill.owned
+                    && (!fill.owned || e.pcid == fill.pcid)
+            }
         };
 
-        let slot = if let Some(i) = set.iter().position(same_identity) {
-            i
-        } else if let Some(i) = set.iter().position(|e| !e.valid) {
+        // One pass over the keys: a slot already holding this
+        // translation wins, else the first empty slot, else the LRU way.
+        let mut target = None;
+        let mut empty = None;
+        for (i, &key) in keys.iter().enumerate() {
+            if key == vpn && same_identity(&set[i]) {
+                target = Some(i);
+                break;
+            }
+            if key == EMPTY && empty.is_none() {
+                empty = Some(i);
+            }
+        }
+        let slot = if let Some(i) = target.or(empty) {
             i
         } else {
             let i = set
@@ -620,12 +647,11 @@ impl Tlb {
             OpcField::shared()
         };
 
-        if !set[slot].valid {
+        if keys[slot] == EMPTY {
             self.resident += 1;
         }
+        keys[slot] = vpn;
         set[slot] = Entry {
-            valid: true,
-            vpn: fill.vpn,
             ppn: fill.ppn,
             size: fill.size,
             flags: fill.flags,
@@ -647,25 +673,26 @@ impl Tlb {
     /// ("the OS invalidates from the local and remote TLBs the TLB entry
     /// for this VPN that has the O bit equal to zero", Section III-A).
     pub fn invalidate_shared(&mut self, vpn: Vpn, ccid: Ccid) {
-        let range = self.set_range(self.set_index(vpn));
-        let mut dropped = 0;
-        for entry in &mut self.entries[range] {
-            if entry.valid && entry.vpn == vpn && entry.ccid == ccid && !entry.opc.is_owned() {
-                entry.valid = false;
-                dropped += 1;
-            }
-        }
-        self.resident -= dropped;
+        self.invalidate_in_home_set(vpn, |e| e.ccid == ccid && !e.opc.is_owned());
     }
 
     /// Invalidates one process's entry for a VPN (conventional CoW /
     /// unmap path).
     pub fn invalidate_page(&mut self, vpn: Vpn, pcid: Pcid) {
+        self.invalidate_in_home_set(vpn, |e| e.pcid == pcid);
+    }
+
+    /// Empties every slot of `vpn`'s home set that holds `vpn` and whose
+    /// entry satisfies `doomed`.
+    fn invalidate_in_home_set(&mut self, vpn: Vpn, doomed: impl Fn(&Entry) -> bool) {
         let range = self.set_range(self.set_index(vpn));
         let mut dropped = 0;
-        for entry in &mut self.entries[range] {
-            if entry.valid && entry.vpn == vpn && entry.pcid == pcid {
-                entry.valid = false;
+        for (key, entry) in self.keys[range.clone()]
+            .iter_mut()
+            .zip(&self.entries[range])
+        {
+            if *key == vpn.raw() && doomed(entry) {
+                *key = EMPTY;
                 dropped += 1;
             }
         }
@@ -678,11 +705,11 @@ impl Tlb {
     pub fn invalidate_process(&mut self, pcid: Pcid) {
         let mode = self.mode;
         let mut dropped = 0;
-        for entry in self.entries.iter_mut() {
-            if entry.valid && entry.pcid == pcid {
+        for (key, entry) in self.keys.iter_mut().zip(self.entries.iter()) {
+            if *key != EMPTY && entry.pcid == pcid {
                 let is_shared_group_entry = mode == LookupMode::BabelFish && !entry.opc.is_owned();
                 if !is_shared_group_entry {
-                    entry.valid = false;
+                    *key = EMPTY;
                     dropped += 1;
                 }
             }
@@ -692,9 +719,7 @@ impl Tlb {
 
     /// Invalidates everything.
     pub fn flush(&mut self) {
-        for entry in self.entries.iter_mut() {
-            entry.valid = false;
-        }
+        self.keys.fill(EMPTY);
         self.resident = 0;
     }
 
@@ -715,18 +740,19 @@ impl Tlb {
         }
         let nth = ((selector & 0xffff_ffff) % self.resident as u64) as usize;
         let bit = (selector >> 32) % 8;
-        let (slot, entry) = self
-            .entries
-            .iter_mut()
+        let (slot, &vpn) = self
+            .keys
+            .iter()
             .enumerate()
-            .filter(|(_, e)| e.valid)
+            .filter(|(_, &k)| k != EMPTY)
             .nth(nth)?;
+        let entry = &mut self.entries[slot];
         let original = entry.ppn;
         let corrupt = Ppn::new(original.raw() ^ (1 << bit));
         entry.ppn = corrupt;
         Some(InjectedFlip {
             slot,
-            vpn: entry.vpn,
+            vpn: Vpn::new(vpn),
             ppn_original: original,
             ppn_corrupt: corrupt,
         })
@@ -740,9 +766,9 @@ impl Tlb {
     /// same-identity refill); either way no corrupt translation for this
     /// record remains afterwards.
     pub fn scrub_flip(&mut self, flip: &InjectedFlip) -> bool {
-        let entry = &mut self.entries[flip.slot];
-        if entry.valid && entry.vpn == flip.vpn && entry.ppn == flip.ppn_corrupt {
-            entry.valid = false;
+        let key = &mut self.keys[flip.slot];
+        if *key == flip.vpn.raw() && self.entries[flip.slot].ppn == flip.ppn_corrupt {
+            *key = EMPTY;
             self.resident -= 1;
             true
         } else {
@@ -810,6 +836,50 @@ mod tests {
 
     fn bf_tlb() -> Tlb {
         Tlb::new(TlbConfig::l2_4k(), LookupMode::BabelFish)
+    }
+
+    /// Writes a resident entry for `vpn` straight into `slot`, key and
+    /// payload together, bypassing `fill`'s home-set placement.
+    fn plant(tlb: &mut Tlb, slot: usize, vpn: Vpn, entry: Entry) {
+        if tlb.keys[slot] == EMPTY {
+            tlb.resident += 1;
+        }
+        tlb.keys[slot] = vpn.raw();
+        tlb.entries[slot] = entry;
+    }
+
+    /// Checks the key array against the arena: the resident count is
+    /// the number of keys, every key sits in its VPN's home set, and no
+    /// set holds two entries of one translation identity.
+    fn check_keys(tlb: &Tlb) -> Result<(), String> {
+        if tlb.resident != tlb.resident_scan() {
+            return Err(format!(
+                "resident {} != {} keys",
+                tlb.resident,
+                tlb.resident_scan()
+            ));
+        }
+        for (slot, &key) in tlb.keys.iter().enumerate() {
+            if key == EMPTY {
+                continue;
+            }
+            let set = slot / tlb.ways;
+            if tlb.set_index(Vpn::new(key)) != set {
+                return Err(format!("slot {slot} holds vpn {key} outside its home set"));
+            }
+            let identity = |i: usize| {
+                let e = &tlb.entries[i];
+                (tlb.keys[i], e.ccid, e.opc.is_owned(), e.pcid)
+            };
+            let duplicates = tlb
+                .set_range(set)
+                .filter(|&i| i != slot && tlb.keys[i] != EMPTY && identity(i) == identity(slot))
+                .count();
+            if duplicates != 0 {
+                return Err(format!("slot {slot} duplicated within set {set}"));
+            }
+        }
+        Ok(())
     }
 
     fn conv_tlb() -> Tlb {
@@ -1044,33 +1114,91 @@ mod tests {
         let home = tlb.set_index(vpn);
         let foreign = (home + 1) % tlb.sets;
         let foreign_slot = foreign * tlb.ways;
-        tlb.entries[foreign_slot] = Entry {
-            valid: true,
+        plant(
+            &mut tlb,
+            foreign_slot,
             vpn,
-            ppn: Ppn::new(0xdead),
-            size: PageSize::Size4K,
-            flags: PageFlags::PRESENT,
-            pcid: Pcid::new(1),
-            ccid: Ccid::new(5),
-            opc: OpcField::shared(),
-            loader: Pid::new(100),
-            last_used: 0,
-        };
-        tlb.resident += 1;
+            Entry {
+                ppn: Ppn::new(0xdead),
+                size: PageSize::Size4K,
+                flags: PageFlags::PRESENT,
+                pcid: Pcid::new(1),
+                ccid: Ccid::new(5),
+                opc: OpcField::shared(),
+                loader: Pid::new(100),
+                last_used: 0,
+            },
+        );
 
         tlb.invalidate_shared(vpn, Ccid::new(5));
-        assert!(
-            tlb.entries[foreign_slot].valid,
+        assert_eq!(
+            tlb.keys[foreign_slot],
+            vpn.raw(),
             "invalidate_shared scanned beyond the home set"
         );
         tlb.invalidate_page(vpn, Pcid::new(1));
-        assert!(
-            tlb.entries[foreign_slot].valid,
+        assert_eq!(
+            tlb.keys[foreign_slot],
+            vpn.raw(),
             "invalidate_page scanned beyond the home set"
         );
+        assert_eq!(tlb.resident_entries(), 1);
         // Full-structure invalidation still reaches it.
         tlb.flush();
-        assert!(!tlb.entries[foreign_slot].valid);
+        assert_eq!(tlb.keys[foreign_slot], EMPTY);
+        assert_eq!(tlb.resident_entries(), 0);
+    }
+
+    #[test]
+    fn empty_structure_counts_a_miss_like_a_scan() {
+        // One structure is empty (the early-out path); the other holds
+        // an entry in a different set, so its lookup scans and misses.
+        // Both must record the miss identically.
+        let registry_of = |tlb: &mut Tlb| {
+            let registry = bf_telemetry::Registry::new();
+            tlb.set_telemetry(TlbTelemetry::for_role(&registry, "l2"));
+            tlb.enable_set_profile();
+            registry
+        };
+        let mut empty = bf_tlb();
+        let mut scanning = bf_tlb();
+        let empty_registry = registry_of(&mut empty);
+        let scanning_registry = registry_of(&mut scanning);
+        scanning.fill(fill(11, 1, 5, 100));
+        scanning.reset_stats();
+
+        let mut r = req(10, 1, 5, 100);
+        r.pc_bit = Some(0);
+        for kind in [AccessKind::Read, AccessKind::Write, AccessKind::Fetch] {
+            r.is_write = kind.is_write();
+            assert_eq!(
+                empty.lookup_kind(&r, kind),
+                LookupResult::Miss {
+                    bitmask_consulted: false
+                }
+            );
+            assert_eq!(
+                scanning.lookup_kind(&r, kind),
+                LookupResult::Miss {
+                    bitmask_consulted: false
+                }
+            );
+        }
+        assert_eq!(empty.stats(), scanning.stats());
+        assert_eq!(empty.stats().misses(), 3);
+        assert_eq!(empty.set_profile(), scanning.set_profile());
+        let home = empty.set_index(Vpn::new(10));
+        assert_eq!(empty.set_profile().unwrap().misses[home], 3);
+        // The scanning structure's one fill is the only other difference.
+        let lookup_counters = |registry: &bf_telemetry::Registry| {
+            let mut counters = registry.snapshot().counters;
+            counters.remove("tlb.l2.fills");
+            counters
+        };
+        assert_eq!(
+            lookup_counters(&empty_registry),
+            lookup_counters(&scanning_registry)
+        );
     }
 
     #[test]
@@ -1133,6 +1261,7 @@ mod tests {
                     _ => tlb.invalidate_process(Pcid::new(pcid)),
                 }
                 proptest::prop_assert_eq!(tlb.resident_entries(), tlb.resident_scan());
+                proptest::prop_assert_eq!(check_keys(&tlb), Ok(()));
             }
             tlb.flush();
             proptest::prop_assert_eq!(tlb.resident_entries(), 0);
