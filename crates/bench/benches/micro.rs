@@ -10,7 +10,9 @@
 
 use babelfish::mem::FrameAllocator;
 use babelfish::pgtable::MaskPage;
-use babelfish::tlb::{LookupMode, LookupRequest, Tlb, TlbConfig, TlbFill};
+use babelfish::tlb::{
+    LookupMode, LookupRequest, Tlb, TlbAccess, TlbConfig, TlbFill, TlbGroup, TlbGroupConfig,
+};
 use babelfish::types::*;
 use babelfish::workloads::ZipfianGenerator;
 use babelfish::{Machine, Mode, SimConfig};
@@ -99,17 +101,9 @@ fn bench_tlb_lookup(c: &mut Criterion) {
         })
     });
 
-    group.finish();
-}
-
-/// The batched probe against its scalar twin on identical streams: both
-/// run the same 64 L1-resident accesses per iteration, so dividing
-/// either number by 64 gives the per-lookup cost. The batched number is
-/// the one ROADMAP item 3 gates against the ~15.6 ns/lookup criterion
-/// floor of the PR 3 arena work.
-fn bench_batch_probe(c: &mut Criterion) {
-    use babelfish::tlb::{BatchHit, TlbAccess, TlbGroup, TlbGroupConfig};
-    let mut group = c.benchmark_group("tlb_batch_probe");
+    // A whole-group L1 probe (4 KB, then 2 MB, then 1 GB D-TLBs) over 64
+    // L1-resident accesses per iteration; divide by 64 for the
+    // per-lookup cost.
     let mut tlbs = TlbGroup::new(TlbGroupConfig::babelfish_aslr_sw());
     let accesses: Vec<TlbAccess> = (0..64u64)
         .map(|i| TlbAccess {
@@ -127,10 +121,6 @@ fn bench_batch_probe(c: &mut Criterion) {
             fill(a.va.vpn(PageSize::Size4K).raw(), 1, false, false),
         );
     }
-    group.bench_function("probe_batch_l1_resident_x64", |b| {
-        let mut hits: Vec<BatchHit> = Vec::with_capacity(accesses.len());
-        b.iter(|| black_box(tlbs.probe_batch(&accesses, &mut hits)))
-    });
     group.bench_function("scalar_lookup_l1_resident_x64", |b| {
         b.iter(|| {
             for a in &accesses {
@@ -138,6 +128,7 @@ fn bench_batch_probe(c: &mut Criterion) {
             }
         })
     });
+
     group.finish();
 }
 
@@ -279,7 +270,6 @@ fn bench_allocators(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_tlb_lookup,
-    bench_batch_probe,
     bench_maskpage,
     bench_machine_access,
     bench_quick_cell,

@@ -123,7 +123,6 @@ fn run_replay(path: &str, cfg: &ExperimentConfig) -> Result<(), String> {
         timeline_fail_fast: cfg.timeline_fail_fast,
         profile_top_k: cfg.profile_top_k,
         recapture: None,
-        batch: cfg.batch,
         salvage: false,
         heartbeat_every: cfg.heartbeat_every,
     };

@@ -11,7 +11,6 @@ const BINS: &[(&str, &str)] = &[
     ("ablations", env!("CARGO_BIN_EXE_ablations")),
     ("bf_replay", env!("CARGO_BIN_EXE_bf_replay")),
     ("bf_report", env!("CARGO_BIN_EXE_bf_report")),
-    ("bf_throughput", env!("CARGO_BIN_EXE_bf_throughput")),
     ("bf_top", env!("CARGO_BIN_EXE_bf_top")),
     ("bringup_time", env!("CARGO_BIN_EXE_bringup_time")),
     ("colocation_sweep", env!("CARGO_BIN_EXE_colocation_sweep")),

@@ -16,14 +16,13 @@
 //!
 //! ## Determinism contract
 //!
-//! Injection decisions must be byte-reproducible across `--threads` and
-//! `--batch` settings. Each injection *site* (TLB bit-flip, walk stall,
+//! Injection decisions must be byte-reproducible across `--threads`
+//! settings. Each injection *site* (TLB bit-flip, walk stall,
 //! alloc fail) owns a [`SiteSampler`]: a counter-mode SplitMix64 stream
 //! keyed on `(seed, site, sequence-number)`. The sequence number counts
 //! *simulated events at that site* — e.g. L2-miss-path entries — whose
 //! order is already part of the simulator's determinism contract, so the
-//! decision stream is independent of host threads, batching, or wall
-//! clock. No state is shared between sites or between machines: every
+//! decision stream is independent of host threads or wall clock. No state is shared between sites or between machines: every
 //! experiment cell arms its own samplers from the same plan and sees the
 //! same decisions regardless of which worker thread runs it.
 //!
@@ -244,7 +243,7 @@ fn require_u64(kind: &str, params: &[(String, String)], key: &str) -> Result<u64
 /// Counter-mode sampler for one injection site. Each [`fire`] consumes
 /// one sequence number; the decision depends only on
 /// `(seed, site, sequence)`, never on call interleaving with other
-/// sites, so the stream is reproducible across thread and batch
+/// sites, so the stream is reproducible across thread
 /// settings as long as the *event order at this site* is deterministic
 /// (which the simulator guarantees).
 ///

@@ -14,11 +14,9 @@ use bf_telemetry::{
     TraceEvent, TraceKind, DEFAULT_TIMELINE_CAPACITY,
 };
 use bf_tlb::group::TlbAccess;
-use bf_tlb::{BatchHit, BatchStop, InjectedFlip, LookupResult, TlbFill, TlbGroup};
-use bf_types::{
-    AccessKind, Ccid, CoreId, Cycles, PageFlags, PageSize, PageTableLevel, Pcid, Pid, VirtAddr,
-};
-use bf_workloads::{AccessBatch, BatchEnd, Op, Workload};
+use bf_tlb::{InjectedFlip, LookupResult, TlbFill, TlbGroup};
+use bf_types::{AccessKind, CoreId, Cycles, PageFlags, PageSize, PageTableLevel, Pid, VirtAddr};
+use bf_workloads::{Op, Workload};
 
 struct CoreState {
     tlbs: TlbGroup,
@@ -59,22 +57,6 @@ pub trait CaptureSink: Send {
     fn request_end(&mut self, cycles: Cycles);
     /// [`Machine::reset_measurement`] ran (warm-up → measured window).
     fn reset(&mut self);
-    /// A run of consecutive accesses on `core` by `pid`, given as
-    /// parallel columns. Equivalent to calling [`CaptureSink::access`]
-    /// once per element; sinks with per-call overhead (locks, I/O)
-    /// override this to amortize it across the run.
-    fn access_run(
-        &mut self,
-        core: u32,
-        pid: Pid,
-        vas: &[VirtAddr],
-        kinds: &[AccessKind],
-        instrs: &[u32],
-    ) {
-        for i in 0..vas.len() {
-            self.access(core, pid, vas[i], kinds[i], instrs[i]);
-        }
-    }
 }
 
 /// Everything the machine tracks per attached process. Stored in a
@@ -87,20 +69,6 @@ struct ProcState {
     /// Core clock at the start of the in-flight request, once the first
     /// request boundary has been seen.
     request_start: Option<Cycles>,
-    /// Generated-but-unexecuted ops for the batched engine. Persists
-    /// across scheduling quanta and run windows: the scalar loop pulls
-    /// one op at a time, the batched loop pre-generates a run and
-    /// consumes it under the same per-op eligibility rules.
-    pending: AccessBatch,
-}
-
-/// Reusable scratch for the batched engine: the SoA probe column and the
-/// clean-hit results live on the machine and are recycled across chunks,
-/// so the steady state allocates nothing per access.
-#[derive(Debug, Default)]
-struct BatchScratch {
-    accesses: Vec<TlbAccess>,
-    hits: Vec<BatchHit>,
 }
 
 /// Machine-level recording handles (`sim.*` names).
@@ -218,8 +186,9 @@ pub struct Machine {
     /// [`SimConfig::profile_top_k`] is set and telemetry compiled in).
     profiler: Option<Box<Profiler>>,
     /// Trace-capture sink (None unless [`Machine::attach_capture`] was
-    /// called). Tees live in `step_core`/`reset_measurement`, never in
-    /// `execute_access`, so the translation hot path is untouched and
+    /// called). Tees live in the scheduler-event helpers
+    /// (`begin_access`, `charge_switch`, `record_request`) and
+    /// `reset_measurement`, never in `execute_access`, so the translation hot path is untouched and
     /// the capture-off cost is one predictable `Option` branch per
     /// scheduler event.
     capture: Option<Box<dyn CaptureSink>>,
@@ -232,13 +201,11 @@ pub struct Machine {
     /// Registry state at the last [`Machine::reset_measurement`];
     /// [`Machine::telemetry_snapshot`] reports the delta since then.
     telemetry_baseline: Snapshot,
-    /// Batched-engine scratch columns (see [`BatchScratch`]).
-    scratch: BatchScratch,
     /// Heartbeat progress emitter (None unless
     /// [`SimConfig::heartbeat_every`] is set *and* the process-wide
-    /// heartbeat stream is armed). Shares the access-counting cap with
-    /// epoch timelines, so progress boundaries land on the exact same
-    /// access in the scalar, batched, and replay engines.
+    /// heartbeat stream is armed). Counted at the end of every access,
+    /// like epoch timelines, so live and replayed runs emit progress on
+    /// the same access.
     progress: Option<Box<ProgressState>>,
 }
 
@@ -349,7 +316,6 @@ impl Machine {
             faults: None,
             fault_armed: false,
             telemetry_baseline: registry.snapshot(),
-            scratch: BatchScratch::default(),
             progress: progress_on.then(|| {
                 Box::new(ProgressState {
                     every: config.heartbeat_every,
@@ -398,7 +364,7 @@ impl Machine {
     /// handled upstream). Call before driving the machine; the samplers
     /// are keyed on (plan seed, site, per-site sequence number), so two
     /// machines armed with the same plan inject identically regardless
-    /// of host threads or batching.
+    /// of host threads.
     ///
     /// When an epoch timeline is active, also registers the fault
     /// accounting invariants: `fault.detected == fault.injected` and
@@ -550,11 +516,11 @@ impl Machine {
         }
     }
 
-    /// Replays one captured access: replicates `step_core`'s
-    /// `Op::Access` accounting (compute cycles, instruction counters)
-    /// and runs the access through the full translation pipeline — but
-    /// takes no scheduling decision; captured [`CaptureSink::switch`]
-    /// events stand in for the scheduler.
+    /// Replays one captured access: the same `Op::Access` accounting as
+    /// the live path (capture tee, compute cycles, instruction counters)
+    /// and the full translation pipeline — but no scheduling decision;
+    /// captured [`CaptureSink::switch`] events stand in for the
+    /// scheduler.
     pub fn replay_access(
         &mut self,
         core: u32,
@@ -563,15 +529,8 @@ impl Machine {
         kind: AccessKind,
         instrs_before: u32,
     ) {
-        if let Some(sink) = self.capture.as_mut() {
-            sink.access(core, pid, va, kind, instrs_before);
-        }
         let core_index = core as usize;
-        let compute = instrs_before as u64 / self.config.issue_width.max(1);
-        self.cores[core_index].clock += compute;
-        self.cores[core_index].instructions += instrs_before as u64 + 1;
-        self.telem.instructions.add(instrs_before as u64 + 1);
-        self.breakdown.compute_cycles += compute;
+        self.begin_access(core_index, pid, va, kind, instrs_before);
         self.execute_access(core_index, pid, va, kind);
     }
 
@@ -585,22 +544,14 @@ impl Machine {
 
     /// Replays one captured context switch (clock + breakdown charge).
     pub fn replay_switch(&mut self, core: u32, cost: Cycles) {
-        if let Some(sink) = self.capture.as_mut() {
-            sink.switch(core, cost);
-        }
-        self.cores[core as usize].clock += cost;
-        self.breakdown.switch_cycles += cost;
+        self.charge_switch(core as usize, cost);
     }
 
     /// Replays one captured request completion. The latency was
     /// measured live, so it is recorded directly instead of being
     /// re-derived from request-start bookkeeping.
     pub fn replay_request_end(&mut self, cycles: Cycles) {
-        if let Some(sink) = self.capture.as_mut() {
-            sink.request_end(cycles);
-        }
-        self.latency.record(cycles);
-        self.telem.request_cycles.record(cycles);
+        self.record_request(cycles);
     }
 
     /// The configuration.
@@ -635,7 +586,6 @@ impl Machine {
             workload,
             core: core.index(),
             request_start: None,
-            pending: AccessBatch::default(),
         });
         self.cores[core.index()].active = true;
     }
@@ -746,6 +696,8 @@ impl Machine {
 
     /// Runs every core until each has retired `budget` instructions in
     /// this measurement window (cores with nothing runnable stop early).
+    /// Every step executes one op on the first eligible core with the
+    /// smallest clock.
     pub fn run_instructions(&mut self, budget: u64) {
         loop {
             let next = self
@@ -767,54 +719,15 @@ impl Machine {
     }
 
     /// Runs until every attached workload has emitted [`Op::Done`]
-    /// (functions run to completion; their processes exit).
+    /// (functions run to completion; their processes exit). The budget
+    /// never binds: per-core instruction counts restart at every
+    /// [`Machine::reset_measurement`] and cannot reach `u64::MAX`.
     pub fn run_until_done(&mut self) {
-        loop {
-            let next = self
-                .cores
-                .iter()
-                .enumerate()
-                .filter(|(i, c)| c.active && self.sched_has_work(CoreId::new(*i)))
-                .min_by_key(|(_, c)| c.clock)
-                .map(|(i, _)| i);
-            match next {
-                Some(core) => {
-                    self.step_core(core);
-                }
-                None => break,
-            }
-        }
+        self.run_instructions(u64::MAX);
     }
 
     fn sched_has_work(&self, core: CoreId) -> bool {
         self.sched.load(core) > 0
-    }
-
-    /// Batched twin of [`Machine::run_instructions`]: the same outer
-    /// pick-the-minimum-clock-core loop, but each step executes a
-    /// *chunk* of ops on the chosen core through the batched engine
-    /// instead of a single op. Byte-identical to the scalar loop for
-    /// every `batch_max >= 1` — see `step_core_batched` for the
-    /// equivalence argument.
-    pub fn run_instructions_batched(&mut self, budget: u64, batch_max: usize) {
-        let batch_max = batch_max.max(1);
-        loop {
-            let next = self
-                .cores
-                .iter()
-                .enumerate()
-                .filter(|(i, c)| {
-                    c.active && c.instructions < budget && self.sched_has_work(CoreId::new(*i))
-                })
-                .min_by_key(|(_, c)| c.clock)
-                .map(|(i, _)| i);
-            match next {
-                Some(core) => {
-                    self.step_core_batched(core, budget, batch_max);
-                }
-                None => break,
-            }
-        }
     }
 
     /// Executes one scheduling decision + one workload op on `core`.
@@ -824,11 +737,7 @@ impl Machine {
             Some(pid) => pid,
             None => match self.sched.tick(core_id, 0) {
                 SchedDecision::Switch { to, cost, .. } => {
-                    if let Some(sink) = self.capture.as_mut() {
-                        sink.switch(core_index as u32, cost);
-                    }
-                    self.cores[core_index].clock += cost;
-                    self.breakdown.switch_cycles += cost;
+                    self.charge_switch(core_index, cost);
                     to
                 }
                 SchedDecision::Idle => {
@@ -858,22 +767,11 @@ impl Machine {
                 kind,
                 instrs_before,
             } => {
-                if let Some(sink) = self.capture.as_mut() {
-                    sink.access(core_index as u32, pid, va, kind, instrs_before);
-                }
-                let compute = instrs_before as u64 / self.config.issue_width.max(1);
-                self.cores[core_index].clock += compute;
-                self.cores[core_index].instructions += instrs_before as u64 + 1;
-                self.telem.instructions.add(instrs_before as u64 + 1);
-                self.breakdown.compute_cycles += compute;
+                let compute = self.begin_access(core_index, pid, va, kind, instrs_before);
                 let access_cycles = self.execute_access(core_index, pid, va, kind);
                 let decision = self.sched.tick(core_id, compute + access_cycles);
                 if let SchedDecision::Switch { cost, .. } = decision {
-                    if let Some(sink) = self.capture.as_mut() {
-                        sink.switch(core_index as u32, cost);
-                    }
-                    self.cores[core_index].clock += cost;
-                    self.breakdown.switch_cycles += cost;
+                    self.charge_switch(core_index, cost);
                 }
             }
             Op::RequestEnd => {
@@ -884,11 +782,7 @@ impl Machine {
                 let start = proc.request_start.unwrap_or(clock);
                 proc.request_start = Some(clock);
                 if clock > start {
-                    if let Some(sink) = self.capture.as_mut() {
-                        sink.request_end(clock - start);
-                    }
-                    self.latency.record(clock - start);
-                    self.telem.request_cycles.record(clock - start);
+                    self.record_request(clock - start);
                 }
             }
             Op::Done => {
@@ -897,285 +791,54 @@ impl Machine {
         }
     }
 
-    /// Executes one scheduling decision plus a chunk of ops on `core`.
-    ///
-    /// The scalar loop re-evaluates core eligibility (`active`,
-    /// `instructions < budget`, runnable work) and re-picks the first
-    /// minimum-clock core before *every* op. A chunk stays equivalent
-    /// by (a) computing `limit` — the clock at which another core would
-    /// win that argmin, constant while this core runs since only this
-    /// core's state changes — and re-checking
-    /// `instructions < budget && clock < limit` before each op; and
-    /// (b) ending the chunk at every event that can change the
-    /// scheduling picture (context switch, process exit).
-    fn step_core_batched(&mut self, core_index: usize, budget: u64, batch_max: usize) {
-        let core_id = CoreId::new(core_index);
-        let pid = match self.sched.current(core_id) {
-            Some(pid) => pid,
-            None => match self.sched.tick(core_id, 0) {
-                SchedDecision::Switch { to, cost, .. } => {
-                    if let Some(sink) = self.capture.as_mut() {
-                        sink.switch(core_index as u32, cost);
-                    }
-                    self.cores[core_index].clock += cost;
-                    self.breakdown.switch_cycles += cost;
-                    to
-                }
-                SchedDecision::Idle => {
-                    self.cores[core_index].active = false;
-                    return;
-                }
-                SchedDecision::Continue => unreachable!("tick with no current cannot continue"),
-            },
-        };
-
-        // The clock bound at which another eligible core takes over the
-        // scalar argmin: `min_by_key` keeps the *first* minimum, so this
-        // core keeps the pick while its clock stays strictly below every
-        // earlier-indexed eligible core and at-or-below every
-        // later-indexed one.
-        let mut limit: Option<Cycles> = None;
-        for (j, c) in self.cores.iter().enumerate() {
-            if j != core_index
-                && c.active
-                && c.instructions < budget
-                && self.sched.load(CoreId::new(j)) > 0
-            {
-                let bound = if j < core_index { c.clock } else { c.clock + 1 };
-                limit = Some(limit.map_or(bound, |l| l.min(bound)));
-            }
+    /// The front half of one `Op::Access`, shared by the live and replay
+    /// paths: tees the access into the capture sink, then charges its
+    /// leading non-memory instructions (compute cycles, instruction
+    /// counters). Returns the compute cycles.
+    fn begin_access(
+        &mut self,
+        core_index: usize,
+        pid: Pid,
+        va: VirtAddr,
+        kind: AccessKind,
+        instrs_before: u32,
+    ) -> Cycles {
+        if let Some(sink) = self.capture.as_mut() {
+            sink.access(core_index as u32, pid, va, kind, instrs_before);
         }
+        let compute = instrs_before as u64 / self.config.issue_width.max(1);
+        let core = &mut self.cores[core_index];
+        core.clock += compute;
+        core.instructions += instrs_before as u64 + 1;
+        self.telem.instructions.add(instrs_before as u64 + 1);
+        self.breakdown.compute_cycles += compute;
+        compute
+    }
 
-        // Phase-split execution (probe the whole run's TLB lookups ahead
-        // of the memory completions) is sound only when nothing can
-        // preempt mid-run: a lone runnable process (the quantum tick can
-        // never switch), no competing core, and no span tracing (spans
-        // need per-op begin/end interleaving).
-        let phased = limit.is_none() && self.sched.load(core_id) == 1 && !self.tracing;
-
-        let issue = self.config.issue_width.max(1);
-        let capture_on = self.capture.is_some();
-        // Deferred per-chunk telemetry: accesses since the last epoch
-        // flush and their `sim.instructions` delta. Flushed at epoch
-        // boundaries (so seals land on the exact scalar access) and at
-        // chunk end.
-        let mut count: u64 = 0;
-        let mut instr_delta: u64 = 0;
-        let mut cap = self.accesses_until_epoch();
-        // Per-chunk tagging-state cache: PCID/CCID are fixed for the
-        // process's lifetime; the MaskPage PC bit is constant per
-        // GB-region until a fault-path access lets the kernel edit
-        // MaskPages (detected via the walk counter below).
-        let (pcid, ccid) = {
-            let proc = self.kernel.process(pid);
-            (proc.pcid(), proc.ccid())
-        };
-        let mut region_cache: Option<(u64, Option<usize>)> = None;
-        // The scalar `step_core` executes its op unconditionally once it
-        // has a pid — there is no re-pick between a switch-in tick and
-        // the op it hands the CPU to. So the first op of this call runs
-        // before any eligibility re-check (the outer argmin already
-        // vouched for this core; only the switch-in cost could have
-        // moved its clock since).
-        let mut first = true;
-
-        loop {
-            // Scalar eligibility, re-checked before every op but the
-            // first.
-            if !first && self.cores[core_index].instructions >= budget {
-                break;
-            }
-            if !first && limit.is_some_and(|l| self.cores[core_index].clock >= l) {
-                break;
-            }
-
-            let Some(proc) = self
-                .procs
-                .get_mut(Self::proc_slot(pid))
-                .and_then(|p| p.as_mut())
-            else {
-                // Process without a workload (exited): drop it.
-                self.sched.remove(pid);
-                break;
-            };
-            if proc.pending.is_drained() {
-                proc.workload.next_batch(&mut proc.pending, batch_max);
-            }
-
-            if proc.pending.pos >= proc.pending.len() {
-                // Only the buffered end op is left.
-                match proc.pending.end.take() {
-                    Some(BatchEnd::RequestEnd) => {
-                        let clock = self.cores[core_index].clock;
-                        let start = proc.request_start.unwrap_or(clock);
-                        proc.request_start = Some(clock);
-                        if clock > start {
-                            if let Some(sink) = self.capture.as_mut() {
-                                sink.request_end(clock - start);
-                            }
-                            self.latency.record(clock - start);
-                            self.telem.request_cycles.record(clock - start);
-                        }
-                        first = false;
-                        continue;
-                    }
-                    Some(BatchEnd::Done) => {
-                        self.exit_process(pid);
-                        break;
-                    }
-                    // Defensive: a refill that produced nothing.
-                    None => break,
-                }
-            }
-
-            // Move the batch out of the slab so the executors below can
-            // borrow the machine mutably alongside its columns.
-            let mut pending = std::mem::take(&mut proc.pending);
-            let mut chunk_over = false;
-
-            if phased {
-                let start = pending.pos;
-                // Budget prefix: the scalar loop re-checks
-                // `instructions < budget` before each op, so the run may
-                // only hold ops that still start within budget; cap also
-                // stops the run at the next epoch boundary.
-                let mut cum = self.cores[core_index].instructions;
-                let mut len = 0usize;
-                while start + len < pending.len() && cum < budget && (len as u64) < cap {
-                    cum += pending.instrs[start + len] as u64 + 1;
-                    len += 1;
-                }
-                if len == 0 {
-                    chunk_over = true;
-                } else {
-                    first = false;
-                    let (executed, elapsed) = self.execute_run_phased(
-                        core_index,
-                        pid,
-                        pcid,
-                        ccid,
-                        &mut region_cache,
-                        &pending.vas[start..start + len],
-                        &pending.kinds[start..start + len],
-                        &pending.instrs[start..start + len],
-                    );
-                    if capture_on {
-                        if let Some(sink) = self.capture.as_mut() {
-                            sink.access_run(
-                                core_index as u32,
-                                pid,
-                                &pending.vas[start..start + executed],
-                                &pending.kinds[start..start + executed],
-                                &pending.instrs[start..start + executed],
-                            );
-                        }
-                    }
-                    pending.pos = start + executed;
-                    if self.instrumented {
-                        self.epoch_tick_bulk(core_index, executed as u64);
-                        self.progress_tick(executed as u64);
-                    }
-                    cap = self.accesses_until_epoch();
-                    // A lone runnable process: the quantum tick can only
-                    // Continue, so one summed tick is exact.
-                    let _ = self.sched.tick(core_id, elapsed);
-                }
-            } else {
-                // Per-access mode: exact scalar op order (the DRAM bank
-                // queues make per-access clocks unboundable up front),
-                // still amortizing generation, state resolution, and
-                // telemetry ticks across the chunk.
-                while pending.pos < pending.len() {
-                    if !first && self.cores[core_index].instructions >= budget {
-                        chunk_over = true;
-                        break;
-                    }
-                    if !first && limit.is_some_and(|l| self.cores[core_index].clock >= l) {
-                        chunk_over = true;
-                        break;
-                    }
-                    first = false;
-                    let i = pending.pos;
-                    let va = pending.vas[i];
-                    let kind = pending.kinds[i];
-                    let instrs_before = pending.instrs[i];
-                    pending.pos += 1;
-                    if capture_on {
-                        if let Some(sink) = self.capture.as_mut() {
-                            sink.access(core_index as u32, pid, va, kind, instrs_before);
-                        }
-                    }
-                    let compute = instrs_before as u64 / issue;
-                    self.cores[core_index].clock += compute;
-                    self.cores[core_index].instructions += instrs_before as u64 + 1;
-                    self.breakdown.compute_cycles += compute;
-                    let access_cycles = if self.tracing {
-                        // Spans need the full scalar path (per-access
-                        // sampling, tail close-out, epoch tick).
-                        self.telem.instructions.add(instrs_before as u64 + 1);
-                        self.execute_access(core_index, pid, va, kind)
-                    } else {
-                        instr_delta += instrs_before as u64 + 1;
-                        let region = va.raw() >> 30;
-                        let pc_bit = match region_cache {
-                            Some((r, bit)) if r == region => bit,
-                            _ => {
-                                let bit = self.kernel.pc_bit(pid, va);
-                                region_cache = Some((region, bit));
-                                bit
-                            }
-                        };
-                        let access = TlbAccess {
-                            va,
-                            pcid,
-                            ccid,
-                            pid,
-                            pc_bit,
-                            kind,
-                        };
-                        let walks_before = self.walks;
-                        let c = self.execute_access_inner(core_index, &access);
-                        if self.walks != walks_before {
-                            region_cache = None;
-                        }
-                        count += 1;
-                        if count == cap {
-                            self.flush_chunk(core_index, &mut count, &mut instr_delta);
-                            cap = self.accesses_until_epoch();
-                        }
-                        c
-                    };
-                    let decision = self.sched.tick(core_id, compute + access_cycles);
-                    if let SchedDecision::Switch { cost, .. } = decision {
-                        if let Some(sink) = self.capture.as_mut() {
-                            sink.switch(core_index as u32, cost);
-                        }
-                        self.cores[core_index].clock += cost;
-                        self.breakdown.switch_cycles += cost;
-                        chunk_over = true;
-                        break;
-                    }
-                }
-            }
-
-            if let Some(slot) = self
-                .procs
-                .get_mut(Self::proc_slot(pid))
-                .and_then(|p| p.as_mut())
-            {
-                slot.pending = pending;
-            }
-            if chunk_over {
-                break;
-            }
+    /// Charges a context switch on `core` (live or replayed), teeing it
+    /// into the capture sink.
+    fn charge_switch(&mut self, core_index: usize, cost: Cycles) {
+        if let Some(sink) = self.capture.as_mut() {
+            sink.switch(core_index as u32, cost);
         }
-        // Flush whatever the per-access path deferred (the phased path
-        // flushes per sub-run).
-        self.flush_chunk(core_index, &mut count, &mut instr_delta);
+        self.cores[core_index].clock += cost;
+        self.breakdown.switch_cycles += cost;
+    }
+
+    /// Records one completed request's latency (live or replayed),
+    /// teeing it into the capture sink.
+    fn record_request(&mut self, cycles: Cycles) {
+        if let Some(sink) = self.capture.as_mut() {
+            sink.request_end(cycles);
+        }
+        self.latency.record(cycles);
+        self.telem.request_cycles.record(cycles);
     }
 
     /// Executes one memory access through the full translation + memory
-    /// pipeline, advancing the core clock. Returns the access latency.
+    /// pipeline — L1 TLB → L2 TLB → CoW-hit fault → page walk(s) → the
+    /// data access itself — advancing the core clock. Returns the access
+    /// latency.
     ///
     /// # Panics
     ///
@@ -1189,46 +852,7 @@ impl Machine {
         kind: AccessKind,
     ) -> Cycles {
         let access = self.make_access(pid, va, kind);
-        let cycles = self.execute_access_inner(core_index, &access);
-        // Hoisted instrumentation gate: the fully-off hot path pays only
-        // this single end-of-access branch.
-        if self.instrumented {
-            if self.tracing {
-                self.trace_access_tail(core_index);
-            }
-            self.epoch_tick(core_index);
-            self.progress_tick(1);
-        }
-        cycles
-    }
-
-    /// Resolves the per-process translation-tagging state for one
-    /// access: PCID/CCID from a single process-table borrow, the O-PC
-    /// PrivateCopy bit from the CCID group's MaskPage.
-    fn make_access(&self, pid: Pid, va: VirtAddr, kind: AccessKind) -> TlbAccess {
-        let (pcid, ccid) = {
-            let proc = self.kernel.process(pid);
-            (proc.pcid(), proc.ccid())
-        };
-        TlbAccess {
-            va,
-            pcid,
-            ccid,
-            pid,
-            pc_bit: self.kernel.pc_bit(pid, va),
-            kind,
-        }
-    }
-
-    /// The translation + memory pipeline for one prepared access:
-    /// L1 TLB → L2 TLB → [`Machine::finish_access`] (faults, walks, the
-    /// data access itself). Advances the core clock and returns the
-    /// access latency. Does *not* run the end-of-access instrumentation
-    /// tail (span close-out, epoch tick) — callers own that, so the
-    /// batched engine can sink it once per chunk.
-    fn execute_access_inner(&mut self, core_index: usize, access: &TlbAccess) -> Cycles {
         let mut cycles: Cycles = 0;
-        let is_write = access.kind.is_write();
 
         // Hoisted sampling gate: `tracing` is false unless span tracing
         // was configured, so the off path takes one predictable branch
@@ -1239,18 +863,18 @@ impl Machine {
         let clock_base = self.cores[core_index].clock;
         if tracing {
             self.spans.sample_access(
-                SpanTrack::new(access.ccid.raw() as u32, access.pid.raw()),
+                SpanTrack::new(access.ccid.raw() as u32, pid.raw()),
                 clock_base,
             );
             self.spans.begin(
                 "access",
-                &[("va", access.va.raw()), ("write", is_write as u64)],
+                &[("va", va.raw()), ("write", kind.is_write() as u64)],
             );
             self.spans.begin("tlb.l1", &[]);
         }
 
         // --- L1 TLB ---
-        let (l1_result, l1_cycles) = self.cores[core_index].tlbs.lookup_l1(access);
+        let (l1_result, l1_cycles) = self.cores[core_index].tlbs.lookup_l1(&access);
         cycles += l1_cycles;
         self.breakdown.tlb_cycles += l1_cycles;
         if tracing {
@@ -1278,7 +902,7 @@ impl Machine {
             if tracing {
                 self.spans.begin("tlb.l2", &[]);
             }
-            let (l2_result, l2_cycles) = self.cores[core_index].tlbs.lookup_l2(access);
+            let (l2_result, l2_cycles) = self.cores[core_index].tlbs.lookup_l2(&access);
             cycles += l2_cycles;
             self.breakdown.tlb_cycles += l2_cycles;
             if tracing {
@@ -1288,7 +912,9 @@ impl Machine {
             match l2_result {
                 LookupResult::Hit(hit) => {
                     // Refill the L1 from the L2 entry.
-                    self.cores[core_index].tlbs.refill_l1_from_hit(access, &hit);
+                    self.cores[core_index]
+                        .tlbs
+                        .refill_l1_from_hit(&access, &hit);
                     translated = Some((hit.ppn, hit.size));
                 }
                 LookupResult::CowFault(_) => faulted_cow_hit = true,
@@ -1296,158 +922,30 @@ impl Machine {
             }
         }
 
-        self.finish_access(
-            core_index,
-            access,
-            cycles,
-            translated,
-            faulted_cow_hit,
-            clock_base,
-        )
-    }
-
-    /// The back half of the access pipeline, after the TLB levels have
-    /// been consulted: CoW-hit fault handling, the page-walk/fault
-    /// convergence loop, the data access through the cache hierarchy,
-    /// and the final clock advance. The batched engine re-enters here
-    /// for the access its hoisted probe stopped on, carrying the probe's
-    /// TLB outcome, so the TLBs are never consulted twice.
-    fn finish_access(
-        &mut self,
-        core_index: usize,
-        access: &TlbAccess,
-        mut cycles: Cycles,
-        mut translated: Option<(bf_types::Ppn, PageSize)>,
-        faulted_cow_hit: bool,
-        clock_base: Cycles,
-    ) -> Cycles {
-        let core_id = CoreId::new(core_index);
-        let pid = access.pid;
-        let va = access.va;
-        let kind = access.kind;
-        let is_write = kind.is_write();
-        let tracing = self.tracing;
-
         // --- CoW fault raised from a TLB hit (Fig. 8 step 6) ---
         if faulted_cow_hit {
-            if self.fault_armed {
-                let backoff = self.fault_alloc_retry();
-                cycles += backoff;
-                self.breakdown.fault_cycles += backoff;
-            }
-            // The kernel emits its own retrospective fault span starting
-            // at the current trace cursor.
-            let resolution = self
-                .kernel
-                .handle_fault(pid, va, is_write)
-                .expect("CoW fault resolution failed");
-            cycles += resolution.cost;
-            self.breakdown.fault_cycles += resolution.cost;
-            if tracing {
-                self.spans.set_now(clock_base + cycles);
-            }
-            self.count_fault(resolution.kind);
-            self.trace_fault(core_index, cycles, access, resolution.kind);
-            self.apply_invalidations(&resolution.invalidations);
+            self.resolve_fault(core_index, &access, &mut cycles, clock_base);
         }
 
         // --- Page walk(s) ---
-        if translated.is_none() {
-            if self.fault_armed {
-                self.fault_miss_path(core_index);
-            }
-            if let Some(profiler) = self.profiler.as_deref_mut() {
-                profiler.record_miss(access.ccid.raw(), pid.raw(), va.vpn(PageSize::Size4K).raw());
-            }
-            let mut attempts = 0;
-            loop {
-                attempts += 1;
-                assert!(
-                    attempts <= 4,
-                    "fault loop did not converge at {va} for {pid}"
-                );
-                if tracing {
-                    self.spans.begin("walk", &[("attempt", attempts)]);
-                }
-                let (mut walk_cycles, walk, path) = self.hardware_walk(core_index, pid, va);
-                if self.fault_armed {
-                    // Transient walk stall: detected by the walker's
-                    // timeout, retried after the plan's backoff; the
-                    // retry always succeeds, so the only architectural
-                    // effect is the added walk latency.
-                    walk_cycles += self.fault_walk_stall();
-                }
-                // Any kernel-side activity below may edit MaskPages, so
-                // the batched engine's per-run pc_bit cache must not
-                // outlive a walk (see `step_core_batched`).
-                if let Some(profiler) = self.profiler.as_deref_mut() {
-                    profiler.record_walk(
-                        access.ccid.raw(),
-                        pid.raw(),
-                        va.vpn(PageSize::Size4K).raw(),
-                        walk_cycles,
-                        path,
-                    );
-                }
-                cycles += walk_cycles;
-                self.breakdown.walk_cycles += walk_cycles;
-                self.walks += 1;
-                self.telem.walks.incr();
-                if tracing {
-                    self.spans.set_now(clock_base + cycles);
-                    self.spans.end();
-                }
-
-                let leaf = walk.leaf();
-                let cow_write = leaf
-                    .map(|(entry, _)| is_write && entry.flags.contains(PageFlags::COW))
-                    .unwrap_or(false);
-                if let Some((entry, size)) = leaf {
-                    if !cow_write {
-                        // Install into L2 + L1 with the O-PC state drawn
-                        // from the pmd_t (and MaskPage if ORPC).
-                        let pmd_flags = walk
-                            .pmd_step()
-                            .map(|s| s.value.flags)
-                            .unwrap_or(PageFlags::empty());
-                        let fill = self.fill_from_walk(pid, va, entry, size, pmd_flags, access);
-                        self.cores[core_index].tlbs.fill(kind, fill);
-                        self.kernel.mark_accessed(pid, va);
-                        translated = Some((entry.ppn, size));
-                        break;
-                    }
-                }
-                // Fault: missing translation or CoW write.
-                if self.fault_armed {
-                    let backoff = self.fault_alloc_retry();
-                    cycles += backoff;
-                    self.breakdown.fault_cycles += backoff;
-                }
-                let resolution = self
-                    .kernel
-                    .handle_fault(pid, va, is_write)
-                    .unwrap_or_else(|e| panic!("unresolvable fault at {va} for {pid}: {e}"));
-                cycles += resolution.cost;
-                self.breakdown.fault_cycles += resolution.cost;
-                if tracing {
-                    self.spans.set_now(clock_base + cycles);
-                }
-                self.count_fault(resolution.kind);
-                self.trace_fault(core_index, cycles, access, resolution.kind);
-                self.apply_invalidations(&resolution.invalidations);
-            }
-        }
+        let (ppn, size) = match translated {
+            Some(translation) => translation,
+            None => self.walk_until_translated(core_index, &access, &mut cycles, clock_base),
+        };
 
         // --- The data / instruction access itself ---
-        let (ppn, size) = translated.expect("translation must have succeeded");
         let paddr = ppn.base_addr().offset(va.page_offset(size));
         let now = self.cores[core_index].clock + cycles;
         if tracing {
             self.spans.begin("mem", &[]);
         }
-        let raw_mem = self
-            .hierarchy
-            .access(core_id, paddr, kind, AccessOrigin::Core, now);
+        let raw_mem = self.hierarchy.access(
+            CoreId::new(core_index),
+            paddr,
+            kind,
+            AccessOrigin::Core,
+            now,
+        );
         // The OoO core hides part of the data latency through MLP; the
         // translation path above cannot be hidden.
         let mem_cycles = ((raw_mem as f64) * (1.0 - self.config.memory_overlap))
@@ -1456,12 +954,153 @@ impl Machine {
         cycles += mem_cycles;
         self.breakdown.memory_cycles += mem_cycles;
         self.cores[core_index].clock += cycles;
+
+        // Hoisted instrumentation gate: the fully-off hot path pays only
+        // this single end-of-access branch.
+        if self.instrumented {
+            if tracing {
+                self.trace_access_tail(core_index);
+            }
+            self.epoch_tick(core_index);
+            self.progress_tick();
+        }
         cycles
+    }
+
+    /// Resolves the per-process translation-tagging state for one
+    /// access: PCID/CCID from a single process-table borrow, the O-PC
+    /// PrivateCopy bit from the CCID group's MaskPage.
+    fn make_access(&self, pid: Pid, va: VirtAddr, kind: AccessKind) -> TlbAccess {
+        let (pcid, ccid) = {
+            let proc = self.kernel.process(pid);
+            (proc.pcid(), proc.ccid())
+        };
+        TlbAccess {
+            va,
+            pcid,
+            ccid,
+            pid,
+            pc_bit: self.kernel.pc_bit(pid, va),
+            kind,
+        }
+    }
+
+    /// Walks the page tables until `access` translates, resolving a
+    /// fault after every walk that finds no usable leaf (missing
+    /// translation or CoW write), and fills the TLBs from the final
+    /// walk. Adds the walk and fault latency to `cycles`.
+    fn walk_until_translated(
+        &mut self,
+        core_index: usize,
+        access: &TlbAccess,
+        cycles: &mut Cycles,
+        clock_base: Cycles,
+    ) -> (bf_types::Ppn, PageSize) {
+        let pid = access.pid;
+        let va = access.va;
+        let is_write = access.kind.is_write();
+        let tracing = self.tracing;
+        if self.fault_armed {
+            self.fault_miss_path(core_index);
+        }
+        if let Some(profiler) = self.profiler.as_deref_mut() {
+            profiler.record_miss(access.ccid.raw(), pid.raw(), va.vpn(PageSize::Size4K).raw());
+        }
+        let mut attempts = 0;
+        loop {
+            attempts += 1;
+            assert!(
+                attempts <= 4,
+                "fault loop did not converge at {va} for {pid}"
+            );
+            if tracing {
+                self.spans.begin("walk", &[("attempt", attempts)]);
+            }
+            let (mut walk_cycles, walk, path) = self.hardware_walk(core_index, pid, va);
+            if self.fault_armed {
+                // Transient walk stall: detected by the walker's
+                // timeout, retried after the plan's backoff; the retry
+                // always succeeds, so the only architectural effect is
+                // the added walk latency.
+                walk_cycles += self.fault_walk_stall();
+            }
+            if let Some(profiler) = self.profiler.as_deref_mut() {
+                profiler.record_walk(
+                    access.ccid.raw(),
+                    pid.raw(),
+                    va.vpn(PageSize::Size4K).raw(),
+                    walk_cycles,
+                    path,
+                );
+            }
+            *cycles += walk_cycles;
+            self.breakdown.walk_cycles += walk_cycles;
+            self.walks += 1;
+            self.telem.walks.incr();
+            if tracing {
+                self.spans.set_now(clock_base + *cycles);
+                self.spans.end();
+            }
+
+            let leaf = walk.leaf();
+            let cow_write = leaf
+                .map(|(entry, _)| is_write && entry.flags.contains(PageFlags::COW))
+                .unwrap_or(false);
+            if let Some((entry, size)) = leaf {
+                if !cow_write {
+                    // Install into L2 + L1 with the O-PC state drawn
+                    // from the pmd_t (and MaskPage if ORPC).
+                    let pmd_flags = walk
+                        .pmd_step()
+                        .map(|s| s.value.flags)
+                        .unwrap_or(PageFlags::empty());
+                    let fill = self.fill_from_walk(pid, va, entry, size, pmd_flags, access);
+                    self.cores[core_index].tlbs.fill(access.kind, fill);
+                    self.kernel.mark_accessed(pid, va);
+                    return (entry.ppn, size);
+                }
+            }
+            // Fault: missing translation or CoW write.
+            self.resolve_fault(core_index, access, cycles, clock_base);
+        }
+    }
+
+    /// Runs the kernel fault handler for `access` (a CoW fault raised
+    /// from a TLB hit, or a walk that found no usable leaf), adding its
+    /// latency — plus any injected allocation-retry backoff — to
+    /// `cycles`, and applies the TLB invalidations it issues.
+    fn resolve_fault(
+        &mut self,
+        core_index: usize,
+        access: &TlbAccess,
+        cycles: &mut Cycles,
+        clock_base: Cycles,
+    ) {
+        let (pid, va) = (access.pid, access.va);
+        if self.fault_armed {
+            let backoff = self.fault_alloc_retry();
+            *cycles += backoff;
+            self.breakdown.fault_cycles += backoff;
+        }
+        // The kernel emits its own retrospective fault span starting at
+        // the current trace cursor.
+        let resolution = self
+            .kernel
+            .handle_fault(pid, va, access.kind.is_write())
+            .unwrap_or_else(|e| panic!("unresolvable fault at {va} for {pid}: {e}"));
+        *cycles += resolution.cost;
+        self.breakdown.fault_cycles += resolution.cost;
+        if self.tracing {
+            self.spans.set_now(clock_base + *cycles);
+        }
+        self.count_fault(resolution.kind);
+        self.trace_fault(core_index, *cycles, access, resolution.kind);
+        self.apply_invalidations(&resolution.invalidations);
     }
 
     /// Closes out the span tree of a traced access ("mem", then
     /// "access") and samples the machine-level counter tracks. Only
-    /// meaningful right after [`Machine::execute_access_inner`] on the
+    /// meaningful at the end of [`Machine::execute_access`] on the
     /// tracing path; the core clock already sits at the access's end
     /// cycle.
     fn trace_access_tail(&mut self, core_index: usize) {
@@ -1516,65 +1155,20 @@ impl Machine {
         self.timeline = Some(state);
     }
 
-    /// Bulk twin of [`Machine::epoch_tick`]: counts `n` accesses at
-    /// once. Callers cap their chunks at
-    /// [`Machine::accesses_until_epoch`], so the boundary — with its
-    /// registry snapshot and invariant sweep — lands on exactly the
-    /// access where the scalar path would seal, at the same core clock.
-    fn epoch_tick_bulk(&mut self, core_index: usize, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let Some(mut state) = self.timeline.take() else {
-            return;
-        };
-        if state.timeline.record_accesses(n) {
-            if self.fault_armed {
-                self.scrub_all_faults();
-            }
-            let snapshot = self.registry.snapshot();
-            state
-                .timeline
-                .seal_epoch(&snapshot, self.cores[core_index].clock);
-            self.check_machine_invariants(&mut state.invariants);
-            state.invariants.check(&snapshot);
-        }
-        self.timeline = Some(state);
-    }
-
-    /// How many accesses the batched engine may execute before it must
-    /// flush for an epoch or heartbeat-progress boundary (`u64::MAX`
-    /// with both off). Capping chunks here is what makes the bulk ticks
-    /// land on exactly the access where the scalar path would fire.
-    fn accesses_until_epoch(&self) -> u64 {
-        let epoch = self
-            .timeline
-            .as_ref()
-            .map_or(u64::MAX, |s| s.timeline.until_boundary().max(1));
-        let progress = self
-            .progress
-            .as_ref()
-            .map_or(u64::MAX, |p| p.next.saturating_sub(p.accesses).max(1));
-        epoch.min(progress)
-    }
-
-    /// Counts `n` accesses toward the heartbeat progress boundary and,
-    /// on crossing it, emits a `progress` event with the cumulative
+    /// Counts one access toward the heartbeat progress boundary and, on
+    /// crossing it, emits a `progress` event with the cumulative
     /// access/instruction/L2-miss counters. Off the hot path: reached
     /// only behind the `instrumented` gate, and a no-op unless the
     /// heartbeat is armed for this machine.
-    fn progress_tick(&mut self, n: u64) {
-        if n == 0 {
-            return;
-        }
+    fn progress_tick(&mut self) {
         let Some(progress) = self.progress.as_mut() else {
             return;
         };
-        progress.accesses += n;
+        progress.accesses += 1;
         if progress.accesses < progress.next {
             return;
         }
-        progress.next = (progress.accesses / progress.every + 1) * progress.every;
+        progress.next += progress.every;
         let accesses = progress.accesses;
         let snapshot = self.registry.snapshot();
         bf_telemetry::heartbeat::progress(
@@ -1582,247 +1176,6 @@ impl Machine {
             snapshot.counter("sim.instructions"),
             snapshot.counter("tlb.l2.misses"),
         );
-    }
-
-    /// Flushes the batched engine's deferred per-chunk telemetry: the
-    /// summed `sim.instructions` delta first — so an epoch sealed by the
-    /// bulk tick snapshots it — then the access count.
-    fn flush_chunk(&mut self, core_index: usize, count: &mut u64, instr_delta: &mut u64) {
-        if *instr_delta > 0 {
-            self.telem.instructions.add(*instr_delta);
-            *instr_delta = 0;
-        }
-        if self.instrumented {
-            self.epoch_tick_bulk(core_index, *count);
-            self.progress_tick(*count);
-        }
-        *count = 0;
-    }
-
-    /// Executes a same-pid run of accesses with every TLB probe hoisted
-    /// ahead of the memory completions. Sound only when nothing can
-    /// interleave mid-run — replay, or a live core whose scheduler has
-    /// exactly one runnable process and no competing core. Performs the
-    /// scalar `Op::Access` front-half accounting (compute cycles,
-    /// instruction counters) for each executed access. Stops after the
-    /// first access that needs the fault/walk machinery, because its
-    /// kernel-side effects can change what later probes in the run would
-    /// observe; unexecuted accesses stay with the caller. Returns the
-    /// executed count and the run's total elapsed cycles for the
-    /// caller's scheduler accounting.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_run_phased(
-        &mut self,
-        core_index: usize,
-        pid: Pid,
-        pcid: Pcid,
-        ccid: Ccid,
-        region_cache: &mut Option<(u64, Option<usize>)>,
-        vas: &[VirtAddr],
-        kinds: &[AccessKind],
-        instrs: &[u32],
-    ) -> (usize, Cycles) {
-        debug_assert!(
-            !self.tracing,
-            "the phased path carries no span instrumentation"
-        );
-        let core_id = CoreId::new(core_index);
-        let issue = self.config.issue_width.max(1);
-        let aslr = if self.config.mode.aslr_transformation() {
-            self.config.aslr_transform_cycles
-        } else {
-            0
-        };
-
-        // Build the SoA probe column, resolving the MaskPage PC bit once
-        // per GB region (clean accesses cannot change it).
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.accesses.clear();
-        for i in 0..vas.len() {
-            let va = vas[i];
-            let region = va.raw() >> 30;
-            let pc_bit = match *region_cache {
-                Some((r, bit)) if r == region => bit,
-                _ => {
-                    let bit = self.kernel.pc_bit(pid, va);
-                    *region_cache = Some((region, bit));
-                    bit
-                }
-            };
-            scratch.accesses.push(TlbAccess {
-                va,
-                pcid,
-                ccid,
-                pid,
-                pc_bit,
-                kind: kinds[i],
-            });
-        }
-
-        // Phase 1: probe both TLB levels across the run (L1 refills
-        // land inline, so later probes see the exact scalar TLB state).
-        let stop = self.cores[core_index]
-            .tlbs
-            .probe_batch(&scratch.accesses, &mut scratch.hits);
-
-        // Phase 2: complete the clean hits in order through the memory
-        // hierarchy, accumulating the per-access breakdown charges.
-        let mut clock = self.cores[core_index].clock;
-        let mut elapsed: Cycles = 0;
-        let mut instr_sum: u64 = 0;
-        let mut compute_sum: Cycles = 0;
-        let mut tlb_sum: Cycles = 0;
-        let mut mem_sum: Cycles = 0;
-        for (i, hit) in scratch.hits.iter().enumerate() {
-            let compute = instrs[i] as u64 / issue;
-            clock += compute;
-            instr_sum += instrs[i] as u64 + 1;
-            compute_sum += compute;
-            let mut cycles = hit.tlb_cycles + if hit.l2_refill { aslr } else { 0 };
-            tlb_sum += cycles;
-            let paddr = hit.ppn.base_addr().offset(vas[i].page_offset(hit.size));
-            let raw_mem =
-                self.hierarchy
-                    .access(core_id, paddr, kinds[i], AccessOrigin::Core, clock + cycles);
-            let mem_cycles = ((raw_mem as f64) * (1.0 - self.config.memory_overlap))
-                .round()
-                .max(1.0) as Cycles;
-            cycles += mem_cycles;
-            mem_sum += mem_cycles;
-            clock += cycles;
-            elapsed += compute + cycles;
-        }
-        let clean = scratch.hits.len();
-        self.cores[core_index].clock = clock;
-        self.breakdown.compute_cycles += compute_sum;
-        self.breakdown.tlb_cycles += tlb_sum;
-        self.breakdown.memory_cycles += mem_sum;
-
-        // Phase 3: the access the probe stopped on re-enters the scalar
-        // back half with its probe outcome carried over — the TLBs are
-        // not consulted again.
-        let mut executed = clean;
-        if let Some(stop) = stop {
-            let i = clean;
-            let compute = instrs[i] as u64 / issue;
-            self.cores[core_index].clock += compute;
-            instr_sum += instrs[i] as u64 + 1;
-            self.breakdown.compute_cycles += compute;
-            let clock_base = self.cores[core_index].clock;
-            let (tlb_cycles, faulted_cow_hit) = match stop {
-                BatchStop::L1 { result, cycles } => {
-                    self.breakdown.tlb_cycles += cycles;
-                    (cycles, matches!(result, LookupResult::CowFault(_)))
-                }
-                BatchStop::L2 {
-                    result,
-                    l1_cycles,
-                    l2_cycles,
-                } => {
-                    let cycles = l1_cycles + aslr + l2_cycles;
-                    self.breakdown.tlb_cycles += cycles;
-                    (cycles, matches!(result, LookupResult::CowFault(_)))
-                }
-            };
-            let access_cycles = self.finish_access(
-                core_index,
-                &scratch.accesses[i],
-                tlb_cycles,
-                None,
-                faulted_cow_hit,
-                clock_base,
-            );
-            // The fault path may have edited MaskPages.
-            *region_cache = None;
-            elapsed += compute + access_cycles;
-            executed += 1;
-        }
-        self.cores[core_index].instructions += instr_sum;
-        self.telem.instructions.add(instr_sum);
-        self.scratch = scratch;
-        (executed, elapsed)
-    }
-
-    /// Replays a run of consecutive same-`(core, pid)` captured accesses
-    /// through the batched engine: one capture tee, per-run tagging
-    /// resolution, TLB probes hoisted ahead of the memory completions
-    /// (nothing interleaves inside a replayed run — captured switches
-    /// arrive as separate records), and epoch ticks bulked per chunk.
-    /// Byte-identical to calling [`Machine::replay_access`] per record.
-    pub fn replay_access_batch(
-        &mut self,
-        core: u32,
-        pid: Pid,
-        vas: &[VirtAddr],
-        kinds: &[AccessKind],
-        instrs: &[u32],
-    ) {
-        assert!(
-            vas.len() == kinds.len() && vas.len() == instrs.len(),
-            "replay batch columns must be parallel"
-        );
-        if self.tracing {
-            // Spans need per-access begin/end interleaving.
-            for i in 0..vas.len() {
-                self.replay_access(core, pid, vas[i], kinds[i], instrs[i]);
-            }
-            return;
-        }
-        if let Some(sink) = self.capture.as_mut() {
-            sink.access_run(core, pid, vas, kinds, instrs);
-        }
-        let core_index = core as usize;
-        let (pcid, ccid) = {
-            let proc = self.kernel.process(pid);
-            (proc.pcid(), proc.ccid())
-        };
-        // Per-access amortized mode, not the phased probe: captured
-        // streams are walk-heavy enough that probing ahead stops every
-        // few accesses and the probe-column staging costs more than it
-        // saves. The run still amortizes the capture tee, the tagging
-        // resolution, the per-GB-region PC bit, and the telemetry ticks.
-        let issue = self.config.issue_width.max(1);
-        let mut region_cache: Option<(u64, Option<usize>)> = None;
-        let mut count: u64 = 0;
-        let mut instr_delta: u64 = 0;
-        let mut cap = self.accesses_until_epoch();
-        for i in 0..vas.len() {
-            let va = vas[i];
-            let compute = instrs[i] as u64 / issue;
-            self.cores[core_index].clock += compute;
-            self.cores[core_index].instructions += instrs[i] as u64 + 1;
-            self.breakdown.compute_cycles += compute;
-            instr_delta += instrs[i] as u64 + 1;
-            let region = va.raw() >> 30;
-            let pc_bit = match region_cache {
-                Some((r, bit)) if r == region => bit,
-                _ => {
-                    let bit = self.kernel.pc_bit(pid, va);
-                    region_cache = Some((region, bit));
-                    bit
-                }
-            };
-            let access = TlbAccess {
-                va,
-                pcid,
-                ccid,
-                pid,
-                pc_bit,
-                kind: kinds[i],
-            };
-            let walks_before = self.walks;
-            self.execute_access_inner(core_index, &access);
-            if self.walks != walks_before {
-                // The fault path may have edited MaskPages.
-                region_cache = None;
-            }
-            count += 1;
-            if count == cap {
-                self.flush_chunk(core_index, &mut count, &mut instr_delta);
-                cap = self.accesses_until_epoch();
-            }
-        }
-        self.flush_chunk(core_index, &mut count, &mut instr_delta);
     }
 
     /// Structural invariants that need machine state, not just counters:
@@ -2755,15 +2108,10 @@ mod tests {
         }
     }
 
-    /// Identical serving setup on a fresh machine; returns the machine
-    /// plus the two containers (deterministic across calls).
+    /// Identical two-container MongoDB serving setup on a fresh machine
+    /// (deterministic across calls).
     fn serving_pair() -> (Machine, Container, Container) {
-        serving_pair_on(machine(Mode::babelfish()))
-    }
-
-    /// Builds the standard two-container MongoDB serving setup on a
-    /// caller-provided machine (deterministic across calls).
-    fn serving_pair_on(mut m: Machine) -> (Machine, Container, Container) {
+        let mut m = machine(Mode::babelfish());
         let kernel = m.kernel_mut();
         let mut runtime = ContainerRuntime::new(kernel);
         let image = runtime.build_image(kernel, &ImageSpec::data_serving("mongodb", 2 << 20));
@@ -2771,198 +2119,6 @@ mod tests {
         let c1 = runtime.create_container(kernel, &image, group).unwrap();
         let c2 = runtime.create_container(kernel, &image, group).unwrap();
         (m, c1, c2)
-    }
-
-    /// Attaches a MongoDB serving workload for `c` on `core`.
-    fn attach_serving(m: &mut Machine, core: usize, c: &Container, seed: u64) {
-        m.attach(
-            CoreId::new(core),
-            c.pid(),
-            Box::new(bf_workloads::DataServing::new(
-                bf_workloads::ServingVariant::MongoDb,
-                c.layout().clone(),
-                seed,
-            )),
-        );
-    }
-
-    /// Warm-up + measured window, scalar (`batch == 0`) or batched, with
-    /// a capture sink attached; returns the captured stream.
-    fn drive_live(m: &mut Machine, batch: usize) -> Vec<Event> {
-        let events = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        m.attach_capture(Box::new(VecSink(events.clone())));
-        if batch == 0 {
-            m.run_instructions(5_000);
-            m.reset_measurement();
-            m.run_instructions(15_000);
-        } else {
-            m.run_instructions_batched(5_000, batch);
-            m.reset_measurement();
-            m.run_instructions_batched(15_000, batch);
-        }
-        m.take_capture();
-        let captured = events.lock().unwrap().clone();
-        captured
-    }
-
-    /// Full-state comparison: counters, clocks, telemetry.
-    fn assert_same_state(a: &Machine, b: &Machine, what: &str) {
-        assert_eq!(
-            format!("{:?}", a.stats()),
-            format!("{:?}", b.stats()),
-            "{what}: stats"
-        );
-        for core in 0..a.config().cores {
-            assert_eq!(
-                a.core_clock(CoreId::new(core)),
-                b.core_clock(CoreId::new(core)),
-                "{what}: core {core} clock"
-            );
-        }
-        if bf_telemetry::enabled() {
-            assert_eq!(
-                a.telemetry_snapshot(),
-                b.telemetry_snapshot(),
-                "{what}: telemetry"
-            );
-        }
-    }
-
-    #[test]
-    fn batched_multiplexed_run_matches_scalar_byte_for_byte() {
-        // Two containers on one core: load 2 keeps the engine in
-        // per-access mode, exercising switches and end-op buffering.
-        let (mut scalar, c1, c2) = serving_pair();
-        attach_serving(&mut scalar, 0, &c1, 1);
-        attach_serving(&mut scalar, 0, &c2, 2);
-        let scalar_events = drive_live(&mut scalar, 0);
-
-        for batch in [1usize, 7, 64] {
-            let (mut batched, b1, b2) = serving_pair();
-            attach_serving(&mut batched, 0, &b1, 1);
-            attach_serving(&mut batched, 0, &b2, 2);
-            let batched_events = drive_live(&mut batched, batch);
-            assert_same_state(&scalar, &batched, &format!("batch {batch}"));
-            assert_eq!(
-                scalar_events, batched_events,
-                "batch {batch}: capture stream"
-            );
-        }
-    }
-
-    #[test]
-    fn batched_single_process_phased_run_matches_scalar() {
-        // One container, nothing else runnable anywhere: the engine
-        // takes the phase-split path (every TLB probe of a run hoisted
-        // ahead of the memory completions).
-        let (mut scalar, c1, _c2) = serving_pair();
-        attach_serving(&mut scalar, 0, &c1, 1);
-        let scalar_events = drive_live(&mut scalar, 0);
-
-        let (mut batched, b1, _b2) = serving_pair();
-        attach_serving(&mut batched, 0, &b1, 1);
-        let batched_events = drive_live(&mut batched, 64);
-        assert_same_state(&scalar, &batched, "phased batch 64");
-        assert_eq!(scalar_events, batched_events, "phased capture stream");
-    }
-
-    #[test]
-    fn batched_replay_matches_scalar_replay() {
-        // Capture a scalar run, then replay it twice — record by record
-        // and through the batched run-accumulating entry point.
-        let (mut live, c1, c2) = serving_pair();
-        attach_serving(&mut live, 0, &c1, 1);
-        attach_serving(&mut live, 0, &c2, 2);
-        let captured = drive_live(&mut live, 0);
-
-        let (mut scalar, _, _) = serving_pair();
-        for event in &captured {
-            match *event {
-                Event::Access(core, pid, va, kind, instrs) => {
-                    scalar.replay_access(core, pid, va, kind, instrs)
-                }
-                Event::Switch(core, cost) => scalar.replay_switch(core, cost),
-                Event::RequestEnd(cycles) => scalar.replay_request_end(cycles),
-                Event::Reset => scalar.reset_measurement(),
-            }
-        }
-
-        let (mut batched, _, _) = serving_pair();
-        let mut run: Option<(u32, Pid)> = None;
-        let mut vas: Vec<VirtAddr> = Vec::new();
-        let mut kinds: Vec<AccessKind> = Vec::new();
-        let mut instrs: Vec<u32> = Vec::new();
-        fn flush(
-            m: &mut Machine,
-            run: &mut Option<(u32, Pid)>,
-            vas: &mut Vec<VirtAddr>,
-            kinds: &mut Vec<AccessKind>,
-            instrs: &mut Vec<u32>,
-        ) {
-            if let Some((core, pid)) = run.take() {
-                m.replay_access_batch(core, pid, vas, kinds, instrs);
-                vas.clear();
-                kinds.clear();
-                instrs.clear();
-            }
-        }
-        for event in &captured {
-            match *event {
-                Event::Access(core, pid, va, kind, n) => {
-                    if run != Some((core, pid)) {
-                        flush(&mut batched, &mut run, &mut vas, &mut kinds, &mut instrs);
-                        run = Some((core, pid));
-                    }
-                    vas.push(va);
-                    kinds.push(kind);
-                    instrs.push(n);
-                }
-                Event::Switch(core, cost) => {
-                    flush(&mut batched, &mut run, &mut vas, &mut kinds, &mut instrs);
-                    batched.replay_switch(core, cost);
-                }
-                Event::RequestEnd(cycles) => {
-                    flush(&mut batched, &mut run, &mut vas, &mut kinds, &mut instrs);
-                    batched.replay_request_end(cycles);
-                }
-                Event::Reset => {
-                    flush(&mut batched, &mut run, &mut vas, &mut kinds, &mut instrs);
-                    batched.reset_measurement();
-                }
-            }
-        }
-        flush(&mut batched, &mut run, &mut vas, &mut kinds, &mut instrs);
-        assert_same_state(&scalar, &batched, "batched replay");
-    }
-
-    #[test]
-    fn batched_timeline_epochs_match_scalar() {
-        if !bf_telemetry::enabled() {
-            return;
-        }
-        // Epoch every 8 accesses with two multiplexed containers: the
-        // bulk ticks must seal on exactly the scalar boundaries, at the
-        // same clocks, with the same snapshots.
-        let (mut scalar, c1, c2) = serving_pair_on(timeline_machine(8, true));
-        attach_serving(&mut scalar, 0, &c1, 1);
-        attach_serving(&mut scalar, 0, &c2, 2);
-        scalar.run_instructions(5_000);
-        scalar.reset_measurement();
-        scalar.run_instructions(15_000);
-
-        let (mut batched, b1, b2) = serving_pair_on(timeline_machine(8, true));
-        attach_serving(&mut batched, 0, &b1, 1);
-        attach_serving(&mut batched, 0, &b2, 2);
-        batched.run_instructions_batched(5_000, 64);
-        batched.reset_measurement();
-        batched.run_instructions_batched(15_000, 64);
-
-        assert_same_state(&scalar, &batched, "timeline batch 64");
-        assert_eq!(
-            format!("{:?}", scalar.take_timeline()),
-            format!("{:?}", batched.take_timeline()),
-            "epoch timelines"
-        );
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::telemetry::TlbTelemetry;
 use crate::tlb::{
     Hit, InjectedFlip, LookupMode, LookupRequest, LookupResult, Tlb, TlbConfig, TlbFill, TlbStats,
 };
-use bf_types::{AccessKind, Ccid, Cycles, PageFlags, PageSize, Pcid, Pid, Ppn, VirtAddr};
+use bf_types::{AccessKind, Ccid, Cycles, PageFlags, PageSize, Pcid, Pid, VirtAddr};
 
 /// Modes for the two TLB levels of one core.
 ///
@@ -90,49 +90,6 @@ pub struct TlbAccess {
     pub pc_bit: Option<usize>,
     /// Read / write / fetch.
     pub kind: AccessKind,
-}
-
-/// One clean translation produced by [`TlbGroup::probe_batch`]: enough
-/// for the simulator's memory-completion phase without re-deriving
-/// anything from the TLB.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchHit {
-    /// Translated physical page.
-    pub ppn: Ppn,
-    /// Page size of the hit entry.
-    pub size: PageSize,
-    /// TLB access time charged (L1, or L1 + L2 on an L2 refill hit).
-    /// Excludes any mode-level ASLR transformation adder, which the
-    /// machine charges between the levels.
-    pub tlb_cycles: Cycles,
-    /// The translation came from the L2 (the L1 was refilled inline):
-    /// the machine owes the ASLR transformation cycles when the mode
-    /// models one.
-    pub l2_refill: bool,
-}
-
-/// Why [`TlbGroup::probe_batch`] stopped early: the first access whose
-/// outcome needs the fault/walk machinery. The probe results are carried
-/// so the simulator finishes that access without re-probing (a re-probe
-/// would double the hit/miss counters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchStop {
-    /// The L1 outcome was a CoW fault; the L2 was not probed.
-    L1 {
-        /// The L1 lookup outcome.
-        result: LookupResult,
-        /// The L1 access time.
-        cycles: Cycles,
-    },
-    /// The L1 missed and the L2 outcome was a miss or CoW fault.
-    L2 {
-        /// The L2 lookup outcome.
-        result: LookupResult,
-        /// The L1 access time.
-        l1_cycles: Cycles,
-        /// The L2 access time (10/12 cycles per the ORPC short-circuit).
-        l2_cycles: Cycles,
-    },
 }
 
 impl TlbAccess {
@@ -305,67 +262,46 @@ impl TlbGroup {
     }
 
     /// Probes the L1 level (I-TLB for fetches; the three D-TLBs for
-    /// data). Returns the outcome and the 1-cycle access time.
+    /// data, 4 KB then 2 MB then 1 GB, stopping at the first present
+    /// entry). Returns the outcome and the 1-cycle access time.
     pub fn lookup_l1(&mut self, access: &TlbAccess) -> (LookupResult, Cycles) {
-        let (result, cycles) = self.lookup_l1_quiet(access);
-        self.trace_lookup("l1", &result);
-        (result, cycles)
-    }
-
-    /// [`TlbGroup::lookup_l1`] without the span instant. The probe order
-    /// (4 KB, then 2 MB, then 1 GB, stopping at the first present entry)
-    /// and every counter are identical; only the trace emission is left
-    /// to the caller, so the batched probe can hoist its `is_active`
-    /// gate out of the per-access loop.
-    #[inline]
-    fn lookup_l1_quiet(&mut self, access: &TlbAccess) -> (LookupResult, Cycles) {
         let kind = access.kind;
-        let cycles = 1;
-        if kind.is_fetch() {
+        let result = 'probe: {
+            if kind.is_fetch() {
+                break 'probe self
+                    .l1i
+                    .lookup_kind(&access.request(PageSize::Size4K), kind);
+            }
             let result = self
-                .l1i
+                .l1d_4k
                 .lookup_kind(&access.request(PageSize::Size4K), kind);
-            return (result, cycles);
-        }
-        let result = self
-            .l1d_4k
-            .lookup_kind(&access.request(PageSize::Size4K), kind);
-        if result.entry_present() {
-            return (result, cycles);
-        }
-        let result = self
-            .l1d_2m
-            .lookup_kind(&access.request(PageSize::Size2M), kind);
-        if result.entry_present() {
-            return (result, cycles);
-        }
-        let result = self
-            .l1d_1g
-            .lookup_kind(&access.request(PageSize::Size1G), kind);
-        if result.entry_present() {
-            return (result, cycles);
-        }
-        (
+            if result.entry_present() {
+                break 'probe result;
+            }
+            let result = self
+                .l1d_2m
+                .lookup_kind(&access.request(PageSize::Size2M), kind);
+            if result.entry_present() {
+                break 'probe result;
+            }
+            let result = self
+                .l1d_1g
+                .lookup_kind(&access.request(PageSize::Size1G), kind);
+            if result.entry_present() {
+                break 'probe result;
+            }
             LookupResult::Miss {
                 bitmask_consulted: false,
-            },
-            cycles,
-        )
+            }
+        };
+        self.trace_lookup("l1", &result);
+        (result, 1)
     }
 
     /// Probes the unified L2 level (all three page sizes in parallel).
     /// Returns the outcome and the access time: 10 cycles, or 12 when the
     /// PC bitmask had to be consulted.
     pub fn lookup_l2(&mut self, access: &TlbAccess) -> (LookupResult, Cycles) {
-        let (result, cycles) = self.lookup_l2_quiet(access);
-        self.trace_lookup("l2", &result);
-        (result, cycles)
-    }
-
-    /// [`TlbGroup::lookup_l2`] without the span instant; see
-    /// [`TlbGroup::lookup_l1_quiet`] for why the split exists.
-    #[inline]
-    fn lookup_l2_quiet(&mut self, access: &TlbAccess) -> (LookupResult, Cycles) {
         let kind = access.kind;
         let mut consulted = false;
         let mut outcome = None;
@@ -392,79 +328,8 @@ impl TlbGroup {
         let result = outcome.unwrap_or(LookupResult::Miss {
             bitmask_consulted: consulted,
         });
+        self.trace_lookup("l2", &result);
         (result, cycles)
-    }
-
-    /// Probes the whole run of `accesses` through the L1/L2 levels
-    /// before the caller touches the memory hierarchy, pushing one
-    /// [`BatchHit`] per clean translation into `hits` (cleared first).
-    ///
-    /// L2 hits refill the L1 *inline, in access order*, so later probes
-    /// of the run observe exactly the TLB state the scalar path would
-    /// have left — probe outcomes, counters and evictions are
-    /// byte-identical. The probe stops at the first access that misses
-    /// both levels or raises a CoW fault and returns its outcome as a
-    /// [`BatchStop`]; accesses past the stop are untouched. Sound only
-    /// because lookups and fills never read the clock: hoisting them
-    /// ahead of the memory completions commutes.
-    pub fn probe_batch(
-        &mut self,
-        accesses: &[TlbAccess],
-        hits: &mut Vec<BatchHit>,
-    ) -> Option<BatchStop> {
-        hits.clear();
-        // The span gate is latched by `sample_access`, which never runs
-        // inside a probe, so one load covers the whole batch. When the
-        // gate is open each lookup still emits exactly the instant the
-        // scalar path would.
-        let trace = self.spans.is_active();
-        for access in accesses {
-            let (l1_result, l1_cycles) = self.lookup_l1_quiet(access);
-            if trace {
-                self.trace_lookup("l1", &l1_result);
-            }
-            match l1_result {
-                LookupResult::Hit(hit) => {
-                    hits.push(BatchHit {
-                        ppn: hit.ppn,
-                        size: hit.size,
-                        tlb_cycles: l1_cycles,
-                        l2_refill: false,
-                    });
-                    continue;
-                }
-                LookupResult::CowFault(_) => {
-                    return Some(BatchStop::L1 {
-                        result: l1_result,
-                        cycles: l1_cycles,
-                    });
-                }
-                LookupResult::Miss { .. } => {}
-            }
-            let (l2_result, l2_cycles) = self.lookup_l2_quiet(access);
-            if trace {
-                self.trace_lookup("l2", &l2_result);
-            }
-            match l2_result {
-                LookupResult::Hit(hit) => {
-                    self.refill_l1_from_hit(access, &hit);
-                    hits.push(BatchHit {
-                        ppn: hit.ppn,
-                        size: hit.size,
-                        tlb_cycles: l1_cycles + l2_cycles,
-                        l2_refill: true,
-                    });
-                }
-                LookupResult::CowFault(_) | LookupResult::Miss { .. } => {
-                    return Some(BatchStop::L2 {
-                        result: l2_result,
-                        l1_cycles,
-                        l2_cycles,
-                    });
-                }
-            }
-        }
-        None
     }
 
     /// Refills the L1 from an L2 hit: rebuilds the entry's fill from the
@@ -760,113 +625,6 @@ mod tests {
         let acc = access(0xc000, 1, AccessKind::Read);
         assert!(!group.lookup_l1(&acc).0.entry_present());
         assert!(!group.lookup_l2(&acc).0.entry_present());
-    }
-
-    /// Drives the same access sequence through `probe_batch` and a
-    /// scalar lookup loop replicating the machine's L1→L2→refill order,
-    /// and requires identical outcomes, cycles, counters, and TLB state.
-    fn assert_probe_batch_matches_scalar(config: TlbGroupConfig, accesses: &[TlbAccess]) {
-        let mut batched = TlbGroup::new(config);
-        let mut scalar = TlbGroup::new(config);
-        // Seed both with one shared fill so the run mixes hits/misses.
-        for group in [&mut batched, &mut scalar] {
-            group.fill(AccessKind::Read, fill_for(0x9000, 1, PageSize::Size4K));
-        }
-
-        let mut hits = Vec::new();
-        let stop = batched.probe_batch(accesses, &mut hits);
-
-        let mut scalar_hits = Vec::new();
-        let mut scalar_stop = None;
-        for access in accesses {
-            let (l1, c1) = scalar.lookup_l1(access);
-            match l1 {
-                LookupResult::Hit(h) => {
-                    scalar_hits.push((h.ppn, h.size, c1, false));
-                    continue;
-                }
-                LookupResult::CowFault(_) => {
-                    scalar_stop = Some(BatchStop::L1 {
-                        result: l1,
-                        cycles: c1,
-                    });
-                    break;
-                }
-                LookupResult::Miss { .. } => {}
-            }
-            let (l2, c2) = scalar.lookup_l2(access);
-            match l2 {
-                LookupResult::Hit(h) => {
-                    scalar.refill_l1_from_hit(access, &h);
-                    scalar_hits.push((h.ppn, h.size, c1 + c2, true));
-                }
-                _ => {
-                    scalar_stop = Some(BatchStop::L2 {
-                        result: l2,
-                        l1_cycles: c1,
-                        l2_cycles: c2,
-                    });
-                    break;
-                }
-            }
-        }
-
-        assert_eq!(stop, scalar_stop, "stop outcome diverged");
-        let batch_view: Vec<_> = hits
-            .iter()
-            .map(|h| (h.ppn, h.size, h.tlb_cycles, h.l2_refill))
-            .collect();
-        assert_eq!(batch_view, scalar_hits, "clean-hit runs diverged");
-        assert_eq!(batched.stats(), scalar.stats(), "counters diverged");
-        assert_eq!(
-            batched.resident_entries(),
-            scalar.resident_entries(),
-            "refill state diverged"
-        );
-    }
-
-    #[test]
-    fn probe_batch_matches_scalar_lookup_order() {
-        // pcid 2 on the shared page: L1 miss (conventional), L2 shared
-        // hit with refill; repeated → L1 hit; an unmapped page stops the
-        // probe with an L2 miss.
-        let accesses = vec![
-            access(0x9000, 2, AccessKind::Read),
-            access(0x9000, 2, AccessKind::Read),
-            access(0x9000, 1, AccessKind::Read),
-            access(0xdead_d000, 2, AccessKind::Read),
-            access(0x9000, 2, AccessKind::Read),
-        ];
-        assert_probe_batch_matches_scalar(TlbGroupConfig::babelfish_aslr_hw(), &accesses);
-        assert_probe_batch_matches_scalar(TlbGroupConfig::baseline(), &accesses);
-        assert_probe_batch_matches_scalar(TlbGroupConfig::babelfish_aslr_sw(), &accesses);
-    }
-
-    #[test]
-    fn probe_batch_stops_before_later_accesses_touch_the_tlb() {
-        let mut group = TlbGroup::new(TlbGroupConfig::babelfish_aslr_hw());
-        group.fill(AccessKind::Read, fill_for(0x9000, 1, PageSize::Size4K));
-        let accesses = vec![
-            access(0xdead_d000, 1, AccessKind::Read), // stop: full miss
-            access(0x9000, 1, AccessKind::Read),      // must stay unprobed
-        ];
-        let before = group.stats();
-        let mut hits = Vec::new();
-        let stop = group.probe_batch(&accesses, &mut hits);
-        assert!(matches!(
-            stop,
-            Some(BatchStop::L2 {
-                result: LookupResult::Miss { .. },
-                ..
-            })
-        ));
-        assert!(hits.is_empty());
-        let after = group.stats();
-        assert_eq!(
-            after.l1d.hits(),
-            before.l1d.hits(),
-            "the access past the stop must not have been probed (it would hit)"
-        );
     }
 
     #[test]

@@ -26,9 +26,8 @@ pub enum Op {
 }
 
 /// How a batch of accesses ended: the first non-access op pulled from
-/// the generator, buffered in the sidecar instead of being executed
-/// inline (the simulator decides when the process is eligible to run
-/// it).
+/// the generator, buffered in the sidecar so the consumer handles it
+/// after the batch's accesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchEnd {
     /// The workload emitted [`Op::RequestEnd`].
@@ -41,10 +40,11 @@ pub enum BatchEnd {
 /// `kinds[]` / `instrs[]` columns plus a one-op sidecar (`end`) for the
 /// non-access op that terminated generation, if any.
 ///
-/// The struct-of-arrays split keeps the batched TLB probe loop walking
-/// one dense column at a time instead of striding over `Op` variants,
-/// and lets the simulator hand the address column straight to
-/// `TlbGroup::probe_batch`.
+/// Filled by [`Workload::next_batch`], which generates a run of ops
+/// behind one virtual call, so a consumer can time or inspect the
+/// generators in isolation; the struct-of-arrays split lets it walk one
+/// dense column at a time. The simulator itself pulls one op at a time
+/// through [`Workload::next_op`].
 #[derive(Debug, Clone, Default)]
 pub struct AccessBatch {
     /// Addresses accessed, in program order.
@@ -53,11 +53,8 @@ pub struct AccessBatch {
     pub kinds: Vec<AccessKind>,
     /// Non-memory instructions preceding each access.
     pub instrs: Vec<u32>,
-    /// The non-access op that ended generation, buffered for the
-    /// simulator's eligibility-checked outer loop.
+    /// The non-access op that ended generation, if any.
     pub end: Option<BatchEnd>,
-    /// Consumption cursor: accesses before `pos` have been executed.
-    pub pos: usize,
 }
 
 impl AccessBatch {
@@ -68,11 +65,10 @@ impl AccessBatch {
             kinds: Vec::with_capacity(max),
             instrs: Vec::with_capacity(max),
             end: None,
-            pos: 0,
         }
     }
 
-    /// Accesses generated into the batch (independent of `pos`).
+    /// Accesses generated into the batch.
     pub fn len(&self) -> usize {
         self.vas.len()
     }
@@ -82,24 +78,12 @@ impl AccessBatch {
         self.vas.is_empty()
     }
 
-    /// Unexecuted accesses remaining past the cursor.
-    pub fn remaining(&self) -> usize {
-        self.len() - self.pos
-    }
-
-    /// True when every access has been executed and no buffered end op
-    /// remains — the batch can be refilled.
-    pub fn is_drained(&self) -> bool {
-        self.pos >= self.len() && self.end.is_none()
-    }
-
     /// Clears all columns and the sidecar for reuse.
     pub fn clear(&mut self) {
         self.vas.clear();
         self.kinds.clear();
         self.instrs.clear();
         self.end = None;
-        self.pos = 0;
     }
 }
 
@@ -341,18 +325,12 @@ mod tests {
         assert_eq!(batch.vas[1], VirtAddr::new(2 << 12));
         assert_eq!(batch.instrs, vec![1, 2]);
         assert_eq!(batch.end, Some(BatchEnd::RequestEnd));
-        assert!(!batch.is_drained(), "buffered end op keeps the batch live");
-
-        batch.pos = batch.len();
-        batch.end = None;
-        assert!(batch.is_drained());
 
         // Refill: the generator resumes after the consumed ops.
         w.next_batch(&mut batch, 1);
         assert_eq!(batch.len(), 1, "max caps the batch before any end op");
         assert_eq!(batch.vas[0], VirtAddr::new(3 << 12));
-        assert_eq!(batch.end, None);
-        assert_eq!(batch.pos, 0, "clear resets the cursor");
+        assert_eq!(batch.end, None, "refill clears the buffered end op");
     }
 
     #[test]
