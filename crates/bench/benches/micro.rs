@@ -2,11 +2,6 @@
 //! lookup paths (Fig. 8), MaskPage CoW bookkeeping, the page walk, the
 //! frame allocator, the Zipfian generator, and the bf-telemetry
 //! primitives themselves.
-//!
-//! The `tlb_lookup` numbers double as the telemetry-overhead check: run
-//! `cargo bench -p bf-bench` and `cargo bench -p bf-bench
-//! --no-default-features` and compare — the instrumented lookup must
-//! stay within noise of the compiled-out one.
 
 use babelfish::mem::FrameAllocator;
 use babelfish::pgtable::MaskPage;
@@ -193,10 +188,6 @@ fn bench_machine_access(c: &mut Criterion) {
 
 fn bench_telemetry(c: &mut Criterion) {
     use bf_telemetry::{Registry, TraceEvent, TraceKind};
-    println!(
-        "telemetry compiled {} (compare against a --no-default-features run)",
-        if bf_telemetry::enabled() { "IN" } else { "OUT" }
-    );
     let mut group = c.benchmark_group("telemetry");
     let registry = Registry::new();
     let counter = registry.counter("bench.counter");

@@ -203,7 +203,6 @@ fn main() {
         salvage: args.salvage,
         heartbeat_every: args.heartbeat_every,
     };
-    let start = std::time::Instant::now();
     let outcome = match replay_file(&args.trace, options) {
         Ok(outcome) => outcome,
         Err(error) => {
@@ -216,7 +215,6 @@ fn main() {
             std::process::exit(code);
         }
     };
-    let seconds = start.elapsed().as_secs_f64();
     if let (Some(file), Some(path)) = (recapture_file, &args.recapture) {
         match file.finish() {
             Ok(records) => println!("recaptured {records} records into {path}"),
@@ -247,10 +245,6 @@ fn main() {
             stats.latency.count()
         );
     }
-    println!(
-        "throughput       {:.0} records/s ({seconds:.3}s wall)",
-        outcome.records_replayed as f64 / seconds.max(1e-9)
-    );
     if let Some(report) = &outcome.salvage {
         println!("salvage          {report}");
     }

@@ -624,13 +624,13 @@ fn annotate_phase_mpki(cell: &mut Value) {
 /// timestamped archival copy plus the stable
 /// `<stem>-timeline-latest.json` — and returns both paths. Returns
 /// `Ok(None)` when timelines were off for the run
-/// (`cfg.timeline_every == 0`) or telemetry is compiled out.
+/// (`cfg.timeline_every == 0`).
 pub fn write_timeline_results(
     stem: &str,
     cfg: &ExperimentConfig,
     cells: &[(String, Option<TimelineSnapshot>)],
 ) -> std::io::Result<Option<(PathBuf, PathBuf)>> {
-    if cfg.timeline_every == 0 || !bf_telemetry::enabled() {
+    if cfg.timeline_every == 0 {
         return Ok(None);
     }
     let doc = timeline_doc(stem, cfg, cells);
@@ -668,13 +668,13 @@ pub fn profile_doc(
 /// timestamped archival copy plus the stable
 /// `<stem>-profile-latest.json` — and returns both paths. Returns
 /// `Ok(None)` when profiling was off for the run
-/// (`cfg.profile_top_k == 0`) or telemetry is compiled out.
+/// (`cfg.profile_top_k == 0`).
 pub fn write_profile_results(
     stem: &str,
     cfg: &ExperimentConfig,
     cells: &[(String, Option<ProfileSnapshot>)],
 ) -> std::io::Result<Option<(PathBuf, PathBuf)>> {
-    if cfg.profile_top_k == 0 || !bf_telemetry::enabled() {
+    if cfg.profile_top_k == 0 {
         return Ok(None);
     }
     let doc = profile_doc(stem, cfg, cells);
@@ -684,9 +684,9 @@ pub fn write_profile_results(
 /// Runs one traced BabelFish data-serving window and writes its Chrome
 /// trace-event JSON to `results/trace-<name>.json` (load it at
 /// `ui.perfetto.dev` or `chrome://tracing`). Returns `None` when tracing
-/// is off (`cfg.trace_sample_every == 0`) or telemetry is compiled out.
+/// is off (`cfg.trace_sample_every == 0`).
 pub fn write_trace_artifact(name: &str, cfg: &ExperimentConfig) -> Option<PathBuf> {
-    if cfg.trace_sample_every == 0 || !bf_telemetry::enabled() {
+    if cfg.trace_sample_every == 0 {
         return None;
     }
     let machine = run_serving_machine(Mode::babelfish(), ServingVariant::MongoDb, cfg);
@@ -886,9 +886,6 @@ mod tests {
     fn timeline_doc_annotates_phase_mpki() {
         use bf_telemetry::{Snapshot, Timeline};
 
-        if !bf_telemetry::enabled() {
-            return;
-        }
         // Three epochs with known misses/instructions so the phase MPKI
         // is exact: each epoch adds 5 misses and 1000 instructions.
         let mut now = Snapshot::default();

@@ -54,10 +54,7 @@ fn live_and_replayed_results_documents_are_byte_identical() {
         live_doc == replay_doc,
         "live and replayed documents must be byte-identical"
     );
-    // With telemetry compiled out timelines are a ZST no-op and export
-    // as null — byte-identity above still holds, but only the telemetry
-    // build proves the equivalence covers a real timeline.
-    #[cfg(feature = "telemetry")]
+    // The equivalence must cover a real timeline, not two nulls.
     assert!(
         live_doc.contains("\"timeline\":{"),
         "the equivalence must cover a real timeline export, got {live_doc}"
@@ -68,9 +65,6 @@ fn live_and_replayed_results_documents_are_byte_identical() {
 
 #[test]
 fn live_and_replayed_profiles_are_byte_identical() {
-    if !bf_telemetry::enabled() {
-        return;
-    }
     let mut cfg = quick();
     // Profiling on for both runs: the trace header carries no
     // instrumentation knobs, so the replay layers the same --profile

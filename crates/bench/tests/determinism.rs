@@ -56,9 +56,6 @@ fn parallel_sweep_is_byte_identical_to_serial() {
 
 #[test]
 fn timeline_export_is_byte_identical_across_thread_counts() {
-    if !bf_telemetry::enabled() {
-        return;
-    }
     let mut cfg = tiny_config();
     cfg.timeline_every = 16;
     let serial = fig10_rows(&cfg, 1, true);
@@ -84,9 +81,6 @@ fn timeline_export_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn profile_export_is_byte_identical_across_thread_counts() {
-    if !bf_telemetry::enabled() {
-        return;
-    }
     let mut cfg = tiny_config();
     cfg.profile_top_k = 32;
     let serial = fig10_rows(&cfg, 1, true);
@@ -118,9 +112,6 @@ fn profile_export_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn clean_fig10_run_records_timelines_without_violations() {
-    if !bf_telemetry::enabled() {
-        return;
-    }
     let mut cfg = tiny_config();
     cfg.timeline_every = 16;
     // Record mode: a violated invariant would land in the export (and

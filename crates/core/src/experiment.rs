@@ -322,8 +322,7 @@ pub struct ServingResult {
     pub exec_cycles: Cycles,
     /// Full machine statistics of the window.
     pub stats: MachineStats,
-    /// Registry snapshot of the measurement window (empty with
-    /// telemetry compiled out).
+    /// Registry snapshot of the measurement window.
     pub telemetry: Snapshot,
     /// Epoch timeline of the measurement window (None unless
     /// [`ExperimentConfig::timeline_every`] is set).

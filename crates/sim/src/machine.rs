@@ -102,9 +102,8 @@ struct TimelineState {
 /// only architectural effect is the added latency).
 pub const ALLOC_RETRY_BACKOFF: Cycles = 1200;
 
-/// Ground-truth fault-injection accounting, independent of the
-/// telemetry feature (the `fault.*` registry counters mirror these when
-/// telemetry is compiled in).
+/// Fault-injection accounting since [`Machine::arm_faults`], read from
+/// the engine's `fault.*` registry counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Faults injected (bit-flips that landed on a resident entry, walk
@@ -135,7 +134,6 @@ struct FaultEngine {
     /// sweep both drain these, so `detected == injected` holds at every
     /// invariant check and no corrupt translation survives a boundary.
     pending: Vec<Vec<InjectedFlip>>,
-    counts: FaultStats,
     injected: Counter,
     detected: Counter,
     recovered: Counter,
@@ -158,11 +156,6 @@ pub struct Machine {
     procs: Vec<Option<ProcState>>,
     latency: LatencyStats,
     breakdown: TranslationBreakdown,
-    walks: u64,
-    minor_faults: u64,
-    major_faults: u64,
-    cow_faults: u64,
-    shared_resolved: u64,
     registry: Registry,
     telem: SimTelemetry,
     /// The registry's span tracer; the machine owns the clock, so it
@@ -170,9 +163,9 @@ pub struct Machine {
     /// pipeline stage of a sampled access completes.
     spans: SpanTracer,
     /// Hoisted span-sampling gate: true only when span tracing can ever
-    /// fire (`trace_sample_every > 0` and telemetry compiled in). Every
-    /// span call in the access pipeline sits behind this one predictable
-    /// branch, so the tracing-off hot path does no per-stage work.
+    /// fire (`trace_sample_every > 0`). Every span call in the access
+    /// pipeline sits behind this one predictable branch, so the
+    /// tracing-off hot path does no per-stage work.
     tracing: bool,
     /// Hoisted instrumentation gate: `tracing || timeline.is_some()`.
     /// The single end-of-access branch in `execute_access` tests this
@@ -180,10 +173,10 @@ pub struct Machine {
     /// had before timelines existed.
     instrumented: bool,
     /// Epoch timeline + invariant checking (None unless
-    /// [`SimConfig::timeline_every`] is set and telemetry compiled in).
+    /// [`SimConfig::timeline_every`] is set).
     timeline: Option<Box<TimelineState>>,
     /// Miss-attribution profiler (None unless
-    /// [`SimConfig::profile_top_k`] is set and telemetry compiled in).
+    /// [`SimConfig::profile_top_k`] is set).
     profiler: Option<Box<Profiler>>,
     /// Trace-capture sink (None unless [`Machine::attach_capture`] was
     /// called). Tees live in the scheduler-event helpers
@@ -232,20 +225,15 @@ impl std::fmt::Debug for Machine {
 
 impl Machine {
     /// Builds the machine for `config`, with every component's counters
-    /// routed into one fresh [`Registry`].
+    /// routed into one fresh [`Registry`] that the machine owns.
     pub fn new(config: SimConfig) -> Self {
-        Self::with_registry(config, Registry::new())
-    }
-
-    /// Builds the machine for `config` over a caller-provided registry
-    /// (e.g. one with a larger trace-ring capacity).
-    pub fn with_registry(config: SimConfig, registry: Registry) -> Self {
+        let registry = Registry::new();
         let spans = registry.spans();
-        let tracing = config.trace_sample_every > 0 && bf_telemetry::enabled();
-        if config.trace_sample_every > 0 {
+        let tracing = config.trace_sample_every > 0;
+        if tracing {
             spans.set_sampling(config.trace_sample_every);
         }
-        let profiling = config.profile_top_k > 0 && bf_telemetry::enabled();
+        let profiling = config.profile_top_k > 0;
         let progress_on = config.heartbeat_every > 0 && bf_telemetry::heartbeat::armed();
         let cores = (0..config.cores)
             .map(|_| {
@@ -269,7 +257,7 @@ impl Machine {
         kernel.attach_telemetry(&registry);
         let mut hierarchy = CacheHierarchy::new(config.hierarchy);
         hierarchy.attach_telemetry(&registry);
-        let timeline_on = config.timeline_every > 0 && bf_telemetry::enabled();
+        let timeline_on = config.timeline_every > 0;
         let timeline = timeline_on.then(|| {
             let mode = if config.timeline_fail_fast {
                 InvariantMode::FailFast
@@ -301,11 +289,6 @@ impl Machine {
             procs: Vec::new(),
             latency: LatencyStats::default(),
             breakdown: TranslationBreakdown::default(),
-            walks: 0,
-            minor_faults: 0,
-            major_faults: 0,
-            cow_faults: 0,
-            shared_resolved: 0,
             telem: SimTelemetry::attach(&registry),
             spans,
             tracing,
@@ -388,7 +371,6 @@ impl Machine {
                 .map(|p| plan.sampler(SITE_ALLOC_FAIL, p))
                 .unwrap_or_else(SiteSampler::disarmed),
             pending: self.cores.iter().map(|_| Vec::new()).collect(),
-            counts: FaultStats::default(),
             injected: self.registry.counter("fault.injected"),
             detected: self.registry.counter("fault.detected"),
             recovered: self.registry.counter("fault.recovered"),
@@ -420,10 +402,15 @@ impl Machine {
         }
     }
 
-    /// Ground-truth fault accounting since arming (`None` when no
-    /// machine-level plan is armed).
+    /// Fault accounting since arming (`None` when no machine-level plan
+    /// is armed). Unlike [`Machine::stats`], a measurement reset does not
+    /// restart it.
     pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.faults.as_deref().map(|engine| engine.counts)
+        self.faults.as_deref().map(|engine| FaultStats {
+            injected: engine.injected.get(),
+            detected: engine.detected.get(),
+            recovered: engine.recovered.get(),
+        })
     }
 
     /// Scrubs one core's pending bit-flips: the consistency re-walk
@@ -435,8 +422,6 @@ impl Machine {
     fn scrub_core_faults(engine: &mut FaultEngine, core_index: usize, core: &mut CoreState) {
         for flip in engine.pending[core_index].drain(..) {
             core.tlbs.scrub_l2_flip(&flip);
-            engine.counts.detected += 1;
-            engine.counts.recovered += 1;
             engine.detected.incr();
             engine.recovered.incr();
         }
@@ -468,7 +453,6 @@ impl Machine {
         if let Some(selector) = engine.bitflip.fire() {
             if let Some(flip) = self.cores[core_index].tlbs.inject_l2_ppn_flip(selector) {
                 engine.pending[core_index].push(flip);
-                engine.counts.injected += 1;
                 engine.injected.incr();
             }
         }
@@ -483,9 +467,6 @@ impl Machine {
             return 0;
         };
         if engine.walk_stall.fire().is_some() {
-            engine.counts.injected += 1;
-            engine.counts.detected += 1;
-            engine.counts.recovered += 1;
             engine.injected.incr();
             engine.detected.incr();
             engine.recovered.incr();
@@ -504,9 +485,6 @@ impl Machine {
             return 0;
         };
         if engine.alloc_fail.fire().is_some() {
-            engine.counts.injected += 1;
-            engine.counts.detected += 1;
-            engine.counts.recovered += 1;
             engine.injected.incr();
             engine.detected.incr();
             engine.recovered.incr();
@@ -636,11 +614,6 @@ impl Machine {
         self.kernel.reset_stats();
         self.latency = LatencyStats::default();
         self.breakdown = TranslationBreakdown::default();
-        self.walks = 0;
-        self.minor_faults = 0;
-        self.major_faults = 0;
-        self.cow_faults = 0;
-        self.shared_resolved = 0;
         self.telemetry_baseline = self.registry.snapshot();
         if let Some(state) = self.timeline.as_mut() {
             state.timeline.restart(self.telemetry_baseline.clone());
@@ -656,8 +629,16 @@ impl Machine {
         }
     }
 
-    /// Aggregated statistics for the current measurement window.
+    /// Aggregated statistics for the current measurement window. The
+    /// walk and fault counts are read from the same registry delta that
+    /// [`Machine::telemetry_snapshot`] returns.
     pub fn stats(&self) -> MachineStats {
+        let window = self.telemetry_snapshot();
+        let faults = |kind: &str| {
+            window
+                .histogram(&format!("os.fault.{kind}_cycles"))
+                .map_or(0, |h| h.count)
+        };
         let mut tlb = bf_tlb::TlbGroupStats::default();
         let mut instructions = 0;
         for core in &self.cores {
@@ -669,11 +650,11 @@ impl Machine {
             tlb,
             latency: self.latency.clone(),
             breakdown: self.breakdown,
-            walks: self.walks,
-            minor_faults: self.minor_faults,
-            major_faults: self.major_faults,
-            cow_faults: self.cow_faults,
-            shared_resolved: self.shared_resolved,
+            walks: window.counter("sim.walks"),
+            minor_faults: faults("minor"),
+            major_faults: faults("major"),
+            cow_faults: faults("cow"),
+            shared_resolved: faults("shared_resolved"),
         }
     }
 
@@ -1035,7 +1016,6 @@ impl Machine {
             }
             *cycles += walk_cycles;
             self.breakdown.walk_cycles += walk_cycles;
-            self.walks += 1;
             self.telem.walks.incr();
             if tracing {
                 self.spans.set_now(clock_base + *cycles);
@@ -1093,7 +1073,6 @@ impl Machine {
         if self.tracing {
             self.spans.set_now(clock_base + *cycles);
         }
-        self.count_fault(resolution.kind);
         self.trace_fault(core_index, *cycles, access, resolution.kind);
         self.apply_invalidations(&resolution.invalidations);
     }
@@ -1223,8 +1202,7 @@ impl Machine {
     /// Finishes the miss-attribution profile for this measurement
     /// window, aggregating the per-core L2 TLB set counters into the
     /// snapshot, and consumes the profiler. `None` when
-    /// [`SimConfig::profile_top_k`] was zero (or telemetry is compiled
-    /// out).
+    /// [`SimConfig::profile_top_k`] was zero.
     pub fn take_profile(&mut self) -> Option<ProfileSnapshot> {
         let profiler = self.profiler.take()?;
         let mut sets = SetCounts::default();
@@ -1379,16 +1357,6 @@ impl Machine {
                 0
             },
             loader: pid,
-        }
-    }
-
-    fn count_fault(&mut self, kind: FaultKind) {
-        match kind {
-            FaultKind::Minor => self.minor_faults += 1,
-            FaultKind::Major => self.major_faults += 1,
-            FaultKind::Cow => self.cow_faults += 1,
-            FaultKind::SharedResolved => self.shared_resolved += 1,
-            FaultKind::Spurious => {}
         }
     }
 
@@ -1889,7 +1857,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_registry_matches_legacy_stats() {
+    fn telemetry_registry_matches_tlb_stats() {
         let mut m = machine(Mode::babelfish());
         let (pid, va) = process_with_file(&mut m, 8);
         for page in 0..8u64 {
@@ -1897,32 +1865,74 @@ mod tests {
         }
         let stats = m.stats();
         let snap = m.telemetry_snapshot();
-        if bf_telemetry::enabled() {
-            assert_eq!(snap.counter("tlb.l1d.hits"), stats.tlb.l1d.hits());
-            assert_eq!(snap.counter("tlb.l1d.misses"), stats.tlb.l1d.misses());
-            assert_eq!(snap.counter("tlb.l2.hits"), stats.tlb.l2.hits());
-            assert_eq!(snap.counter("tlb.l2.misses"), stats.tlb.l2.misses());
-            assert_eq!(snap.counter("sim.walks"), stats.walks);
-            // Prefault-free run: the kernel fault histograms cover every
-            // machine-observed fault.
-            let faults = snap
-                .histogram("os.fault.minor_cycles")
-                .map_or(0, |h| h.count)
-                + snap
-                    .histogram("os.fault.major_cycles")
-                    .map_or(0, |h| h.count)
-                + snap.histogram("os.fault.cow_cycles").map_or(0, |h| h.count)
-                + snap
-                    .histogram("os.fault.shared_resolved_cycles")
-                    .map_or(0, |h| h.count);
-            assert_eq!(
-                faults,
-                stats.minor_faults + stats.major_faults + stats.cow_faults + stats.shared_resolved
-            );
-            assert!(!m.registry().tracer().is_empty(), "faults were traced");
-        } else {
-            assert_eq!(snap.counter("tlb.l1d.hits"), 0);
-        }
+        assert_eq!(snap.counter("tlb.l1d.hits"), stats.tlb.l1d.hits());
+        assert_eq!(snap.counter("tlb.l1d.misses"), stats.tlb.l1d.misses());
+        assert_eq!(snap.counter("tlb.l2.hits"), stats.tlb.l2.hits());
+        assert_eq!(snap.counter("tlb.l2.misses"), stats.tlb.l2.misses());
+        assert!(!m.registry().tracer().is_empty(), "faults were traced");
+    }
+
+    #[test]
+    fn derived_stats_restart_at_reset_but_fault_stats_do_not() {
+        let faults = |s: &MachineStats| {
+            (
+                s.minor_faults,
+                s.major_faults,
+                s.cow_faults,
+                s.shared_resolved,
+            )
+        };
+        let mut m = machine(Mode::babelfish());
+        m.arm_faults(FaultPlan::parse("walk-stall@p=1,cycles=100;alloc-fail@p=1").unwrap());
+        let kernel = m.kernel_mut();
+        let group = kernel.create_group();
+        let a = kernel.spawn(group).unwrap();
+        let b = kernel.spawn(group).unwrap();
+        let file = kernel.register_file(4 * 4096);
+        let req = MmapRequest::file_shared(Segment::Lib, file, 0, 4 * 4096, PageFlags::USER);
+        let lib = kernel.mmap(a, req).unwrap();
+        kernel.mmap(b, req).unwrap();
+        let heap = kernel
+            .mmap(
+                a,
+                MmapRequest::anon(
+                    Segment::Heap,
+                    0x4000,
+                    PageFlags::USER | PageFlags::WRITE,
+                    false,
+                ),
+            )
+            .unwrap();
+
+        // Before the reset: one cold walk ending in a major fault.
+        m.execute_access(0, a, lib, AccessKind::Read);
+        let warm = m.stats();
+        assert_eq!(warm.walks, 2, "walk, fault, re-walk");
+        assert_eq!(warm.major_faults, 1);
+        m.execute_access(0, a, heap, AccessKind::Write);
+        let (child, _, inv) = m.kernel_mut().fork(a).unwrap();
+        m.apply_invalidations(&inv);
+        let armed = m.fault_stats().expect("plan armed");
+        assert!(armed.injected > 0);
+
+        m.reset_measurement();
+        let stats = m.stats();
+        assert_eq!(stats.walks, 0, "walks restart at reset");
+        assert_eq!(faults(&stats), (0, 0, 0, 0), "faults restart at reset");
+
+        // In the window: one CoW write and one shared-resolved touch.
+        m.execute_access(1, child, heap, AccessKind::Write);
+        m.execute_access(1, b, lib, AccessKind::Read);
+        let stats = m.stats();
+        assert_eq!(faults(&stats), (0, 0, 1, 1), "one CoW, one shared-resolved");
+        assert_eq!(stats.walks, 4, "each access walks, faults, re-walks");
+
+        // Each window walk stalls once and each window fault retries its
+        // allocation once, on top of the counts from before the reset.
+        let after = m.fault_stats().expect("plan armed");
+        assert_eq!(after.injected, armed.injected + stats.walks + 2);
+        assert_eq!(after.detected, after.injected);
+        assert_eq!(after.recovered, after.detected);
     }
 
     #[test]
@@ -1934,15 +1944,10 @@ mod tests {
         let snap = m.telemetry_snapshot();
         assert_eq!(snap.counter("sim.walks"), 0, "delta restarts at reset");
         m.execute_access(0, pid, va, AccessKind::Read);
-        let expected = if bf_telemetry::enabled() {
-            m.stats().tlb.l1d.hits()
-        } else {
-            0
-        };
         assert_eq!(
             m.telemetry_snapshot().counter("tlb.l1d.hits"),
-            expected,
-            "post-reset window matches the legacy view"
+            m.stats().tlb.l1d.hits(),
+            "post-reset window matches the TLB stats"
         );
     }
 
@@ -1981,9 +1986,6 @@ mod tests {
 
     #[test]
     fn timeline_epochs_conserve_the_measurement_window() {
-        if !bf_telemetry::enabled() {
-            return;
-        }
         let mut m = timeline_machine(4, true);
         let (pid, va) = process_with_file(&mut m, 16);
         // Warm-up, then a windowed measurement like the runners do.
@@ -2021,9 +2023,6 @@ mod tests {
 
     #[test]
     fn corrupted_counter_is_caught_at_the_next_epoch_boundary() {
-        if !bf_telemetry::enabled() {
-            return;
-        }
         let mut m = timeline_machine(4, false);
         let (pid, va) = process_with_file(&mut m, 8);
         m.execute_access(0, pid, va, AccessKind::Read);
@@ -2049,10 +2048,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "telemetry invariant 'tlb.l2.shared_hits_within_hits'")]
     fn fail_fast_panics_on_corruption() {
-        if !bf_telemetry::enabled() {
-            // No registry when telemetry is off; satisfy should_panic.
-            panic!("telemetry invariant 'tlb.l2.shared_hits_within_hits' (telemetry off)");
-        }
         let mut m = timeline_machine(2, true);
         let (pid, va) = process_with_file(&mut m, 8);
         m.debug_corrupt_counter("tlb.l2.shared_hits", 1_000_000);
@@ -2063,9 +2058,6 @@ mod tests {
 
     #[test]
     fn instructions_counter_matches_core_totals() {
-        if !bf_telemetry::enabled() {
-            return;
-        }
         let mut m = timeline_machine(8, true);
         let (pid, _va) = process_with_file(&mut m, 4);
         m.retire(CoreId::new(0), 500);
@@ -2182,9 +2174,7 @@ mod tests {
             );
         }
         assert_eq!(captured, *reevents.lock().unwrap());
-        if bf_telemetry::enabled() {
-            assert_eq!(live.telemetry_snapshot(), replay.telemetry_snapshot());
-        }
+        assert_eq!(live.telemetry_snapshot(), replay.telemetry_snapshot());
     }
 
     /// Strides a cold file mapping so every access takes the miss path.

@@ -112,6 +112,12 @@ impl TranslationBreakdown {
 }
 
 /// Aggregate machine statistics for one measurement window.
+///
+/// `walks` is the window's `sim.walks` counter, and the four fault
+/// counts are the faults the kernel serviced in the window, counted by
+/// its `os.fault.*_cycles` histograms. That includes faults serviced
+/// outside an access, such as [`crate::Machine::prefault`] inside the
+/// window; spurious faults are not counted.
 #[derive(Debug, Clone, Default, serde::Serialize)]
 pub struct MachineStats {
     /// Instructions retired (memory accesses + non-memory instructions).
@@ -124,13 +130,13 @@ pub struct MachineStats {
     pub breakdown: TranslationBreakdown,
     /// Page walks performed.
     pub walks: u64,
-    /// Minor faults observed by the machine.
+    /// Minor faults serviced.
     pub minor_faults: u64,
-    /// Major faults observed.
+    /// Major faults serviced.
     pub major_faults: u64,
-    /// CoW faults observed.
+    /// CoW faults serviced.
     pub cow_faults: u64,
-    /// Faults avoided through shared page tables.
+    /// Faults resolved by attaching a shared page table.
     pub shared_resolved: u64,
 }
 

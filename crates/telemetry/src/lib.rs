@@ -8,19 +8,11 @@
 //! exporters for `results/` artifacts, and a live-run [`heartbeat`]
 //! NDJSON event stream for `bf_top` and CI.
 //!
-//! ## Zero overhead when off
+//! ## Always on
 //!
-//! Everything hot-path lives behind the `on` cargo feature (enabled by
-//! default). With `--no-default-features` every handle ([`Counter`],
-//! [`Histogram`], [`Registry`], [`Tracer`]) becomes a zero-sized type
-//! and every record method an empty `#[inline(always)]` body, so
-//! instrumented call sites compile to the exact uninstrumented machine
-//! code. Consumer crates therefore need **no** `cfg` guards — they
-//! instrument unconditionally and let the feature decide.
-//!
-//! [`Snapshot`] and the exporters stay available in both modes (an
-//! off-mode registry just snapshots empty), so export plumbing never
-//! needs gating either.
+//! Telemetry is always compiled in. Recording is a relaxed load+store
+//! on a cell the component fetched once at construction, so call sites
+//! instrument unconditionally with no `cfg` guards.
 //!
 //! ## Naming convention
 //!
@@ -42,7 +34,7 @@ mod trace;
 
 pub use export::{results_path, snapshot_to_csv, write_csv, write_json};
 pub use invariants::{InvariantMode, InvariantSet, Violation};
-pub use metrics::{enabled, Counter, Histogram};
+pub use metrics::{Counter, Histogram};
 pub use profiler::{
     path_name, path_push, path_src, Blame, BlameEntry, PathCount, PathSig, ProfileSnapshot,
     Profiler, RegionCount, RegionKey, SetCounts, SpaceSaving, REGION_SHIFT,

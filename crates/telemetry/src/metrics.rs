@@ -1,7 +1,6 @@
 //! Lock-free recording handles: [`Counter`] and [`Histogram`].
 //!
-//! Both are cheap-to-clone `Arc` handles onto shared atomics when the
-//! `on` feature is enabled, and zero-sized no-ops when it is not. All
+//! Both are cheap-to-clone `Arc` handles onto shared atomics. All
 //! atomics use `Relaxed` ordering — metrics need totals, not
 //! happens-before edges; a [`crate::Snapshot`] taken while other
 //! threads record is a consistent-enough view for reporting.
@@ -15,190 +14,112 @@
 //! through the *same* cell, increments can be dropped — shard by clone
 //! (one handle per thread) and merge snapshots instead.
 
-use crate::snapshot::BUCKETS;
+use crate::snapshot::{HistogramSnapshot, BUCKETS};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
 
 /// Bucket index for a sample: 0 for 0, else `floor(log2(v)) + 1`,
 /// clamped so the top bucket absorbs the tail.
 #[inline]
-#[cfg_attr(not(feature = "on"), allow(dead_code))] // only tests use it then
 pub(crate) fn bucket_index(value: u64) -> usize {
     (64 - value.leading_zeros() as usize).min(BUCKETS - 1)
 }
 
-#[cfg(feature = "on")]
-mod enabled {
-    use super::bucket_index;
-    use crate::snapshot::{HistogramSnapshot, BUCKETS};
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-    use std::sync::Arc;
+/// A monotonically increasing metric. Clones share the same cell.
+#[derive(Debug, Clone, Default)]
+pub struct Counter(Arc<AtomicU64>);
 
-    /// A monotonically increasing metric. Clones share the same cell.
-    #[derive(Debug, Clone, Default)]
-    pub struct Counter(Arc<AtomicU64>);
-
-    impl Counter {
-        /// Creates a standalone counter (registry-less, mostly for tests).
-        pub fn new() -> Self {
-            Self::default()
-        }
-
-        /// Adds `n` (single-writer; see the module docs).
-        #[inline]
-        pub fn add(&self, n: u64) {
-            self.0.store(self.0.load(Relaxed).wrapping_add(n), Relaxed);
-        }
-
-        /// Adds 1.
-        #[inline]
-        pub fn incr(&self) {
-            self.add(1);
-        }
-
-        /// Current value.
-        #[inline]
-        pub fn get(&self) -> u64 {
-            self.0.load(Relaxed)
-        }
+impl Counter {
+    /// Creates a standalone counter (registry-less, mostly for tests).
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    #[derive(Debug)]
-    pub(crate) struct HistogramInner {
-        buckets: [AtomicU64; BUCKETS],
-        count: AtomicU64,
-        sum: AtomicU64,
-        min: AtomicU64,
-        max: AtomicU64,
+    /// Adds `n` (single-writer; see the module docs).
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.0.store(self.0.load(Relaxed).wrapping_add(n), Relaxed);
     }
 
-    impl Default for HistogramInner {
-        fn default() -> Self {
-            Self {
-                buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-                min: AtomicU64::new(u64::MAX),
-                max: AtomicU64::new(0),
-            }
-        }
+    /// Adds 1.
+    #[inline]
+    pub fn incr(&self) {
+        self.add(1);
     }
 
-    /// A log2-bucketed distribution. Clones share the same cells.
-    #[derive(Debug, Clone, Default)]
-    pub struct Histogram(Arc<HistogramInner>);
+    /// Current value.
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.0.load(Relaxed)
+    }
+}
 
-    impl Histogram {
-        /// Creates a standalone histogram (registry-less, mostly for tests).
-        pub fn new() -> Self {
-            Self::default()
-        }
+#[derive(Debug)]
+struct HistogramInner {
+    buckets: [AtomicU64; BUCKETS],
+    count: AtomicU64,
+    sum: AtomicU64,
+    min: AtomicU64,
+    max: AtomicU64,
+}
 
-        /// Records one sample (single-writer; see the module docs).
-        #[inline]
-        pub fn record(&self, value: u64) {
-            let inner = &*self.0;
-            let bucket = &inner.buckets[bucket_index(value)];
-            bucket.store(bucket.load(Relaxed) + 1, Relaxed);
-            inner.count.store(inner.count.load(Relaxed) + 1, Relaxed);
-            inner
-                .sum
-                .store(inner.sum.load(Relaxed).wrapping_add(value), Relaxed);
-            if value < inner.min.load(Relaxed) {
-                inner.min.store(value, Relaxed);
-            }
-            if value > inner.max.load(Relaxed) {
-                inner.max.store(value, Relaxed);
-            }
-        }
-
-        /// Number of samples recorded so far.
-        #[inline]
-        pub fn count(&self) -> u64 {
-            self.0.count.load(Relaxed)
-        }
-
-        /// Freezes the current state.
-        pub fn snapshot(&self) -> HistogramSnapshot {
-            let inner = &*self.0;
-            HistogramSnapshot {
-                count: inner.count.load(Relaxed),
-                sum: inner.sum.load(Relaxed),
-                min: inner.min.load(Relaxed),
-                max: inner.max.load(Relaxed),
-                buckets: std::array::from_fn(|i| inner.buckets[i].load(Relaxed)),
-            }
+impl Default for HistogramInner {
+    fn default() -> Self {
+        Self {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            min: AtomicU64::new(u64::MAX),
+            max: AtomicU64::new(0),
         }
     }
 }
 
-#[cfg(not(feature = "on"))]
-mod disabled {
-    use crate::snapshot::HistogramSnapshot;
+/// A log2-bucketed distribution. Clones share the same cells.
+#[derive(Debug, Clone, Default)]
+pub struct Histogram(Arc<HistogramInner>);
 
-    /// No-op counter (telemetry compiled out). Deliberately not `Copy`,
-    /// matching the enabled `Arc`-backed handle's API exactly.
-    #[derive(Debug, Clone, Default)]
-    pub struct Counter;
+impl Histogram {
+    /// Creates a standalone histogram (registry-less, mostly for tests).
+    pub fn new() -> Self {
+        Self::default()
+    }
 
-    impl Counter {
-        /// Creates a no-op counter.
-        pub fn new() -> Self {
-            Self
+    /// Records one sample (single-writer; see the module docs).
+    #[inline]
+    pub fn record(&self, value: u64) {
+        let inner = &*self.0;
+        let bucket = &inner.buckets[bucket_index(value)];
+        bucket.store(bucket.load(Relaxed) + 1, Relaxed);
+        inner.count.store(inner.count.load(Relaxed) + 1, Relaxed);
+        inner
+            .sum
+            .store(inner.sum.load(Relaxed).wrapping_add(value), Relaxed);
+        if value < inner.min.load(Relaxed) {
+            inner.min.store(value, Relaxed);
         }
-
-        /// Does nothing.
-        #[inline(always)]
-        pub fn add(&self, _n: u64) {}
-
-        /// Does nothing.
-        #[inline(always)]
-        pub fn incr(&self) {}
-
-        /// Always 0.
-        #[inline(always)]
-        pub fn get(&self) -> u64 {
-            0
+        if value > inner.max.load(Relaxed) {
+            inner.max.store(value, Relaxed);
         }
     }
 
-    /// No-op histogram (telemetry compiled out). Deliberately not
-    /// `Copy`, matching the enabled handle's API exactly.
-    #[derive(Debug, Clone, Default)]
-    pub struct Histogram;
+    /// Number of samples recorded so far.
+    #[inline]
+    pub fn count(&self) -> u64 {
+        self.0.count.load(Relaxed)
+    }
 
-    impl Histogram {
-        /// Creates a no-op histogram.
-        pub fn new() -> Self {
-            Self
-        }
-
-        /// Does nothing.
-        #[inline(always)]
-        pub fn record(&self, _value: u64) {}
-
-        /// Always 0.
-        #[inline(always)]
-        pub fn count(&self) -> u64 {
-            0
-        }
-
-        /// Always empty.
-        pub fn snapshot(&self) -> HistogramSnapshot {
-            HistogramSnapshot::default()
+    /// Freezes the current state.
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        let inner = &*self.0;
+        HistogramSnapshot {
+            count: inner.count.load(Relaxed),
+            sum: inner.sum.load(Relaxed),
+            min: inner.min.load(Relaxed),
+            max: inner.max.load(Relaxed),
+            buckets: std::array::from_fn(|i| inner.buckets[i].load(Relaxed)),
         }
     }
-}
-
-#[cfg(feature = "on")]
-pub use enabled::{Counter, Histogram};
-
-#[cfg(not(feature = "on"))]
-pub use disabled::{Counter, Histogram};
-
-/// Convenience check for callers that want to skip building expensive
-/// trace payloads when telemetry is compiled out.
-#[inline(always)]
-pub const fn enabled() -> bool {
-    cfg!(feature = "on")
 }
 
 #[allow(dead_code)]
@@ -208,8 +129,7 @@ fn _assert_handles_are_send_sync() {
     check::<Histogram>();
 }
 
-/// Shared between enabled/disabled tests: bucket geometry is part of the
-/// exported schema, so pin it down.
+/// Bucket geometry is part of the exported schema, so pin it down.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,7 +146,6 @@ mod tests {
         assert_eq!(bucket_index(u64::MAX), BUCKETS - 1);
     }
 
-    #[cfg(feature = "on")]
     #[test]
     fn counter_clones_share_state() {
         let a = Counter::new();
@@ -237,7 +156,6 @@ mod tests {
         assert_eq!(b.get(), 3);
     }
 
-    #[cfg(feature = "on")]
     #[test]
     fn histogram_records_extrema_and_buckets() {
         let h = Histogram::new();
@@ -254,15 +172,5 @@ mod tests {
         assert_eq!(s.buckets[3], 2); // 5 twice
         assert_eq!(s.buckets[9], 1); // 300
         assert_eq!(s.buckets.iter().sum::<u64>(), 5);
-    }
-
-    #[cfg(not(feature = "on"))]
-    #[test]
-    fn disabled_handles_are_zero_sized() {
-        assert_eq!(std::mem::size_of::<Counter>(), 0);
-        assert_eq!(std::mem::size_of::<Histogram>(), 0);
-        let c = Counter::new();
-        c.add(5);
-        assert_eq!(c.get(), 0);
     }
 }

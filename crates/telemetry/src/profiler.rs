@@ -22,10 +22,9 @@
 //! next to the TLB arrays) and hands them in at snapshot time as
 //! [`SetCounts`].
 //!
-//! Everything here is plain data — no feature gates. The zero-overhead
-//! story is the caller's: the machine only constructs a `Profiler` when
-//! profiling was requested *and* telemetry is compiled in, exactly like
-//! epoch timelines.
+//! Everything here is plain data. The machine only constructs a
+//! `Profiler` when profiling was requested, exactly like epoch
+//! timelines.
 
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};

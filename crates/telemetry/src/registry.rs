@@ -9,150 +9,79 @@ use crate::metrics::{Counter, Histogram};
 use crate::snapshot::Snapshot;
 use crate::span::SpanTracer;
 use crate::trace::Tracer;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
-#[cfg(feature = "on")]
-mod enabled {
-    use super::*;
-    use std::collections::BTreeMap;
-    use std::sync::{Arc, Mutex};
+#[derive(Debug, Default)]
+struct RegistryInner {
+    counters: Mutex<BTreeMap<String, Counter>>,
+    histograms: Mutex<BTreeMap<String, Histogram>>,
+    tracer: Tracer,
+    spans: SpanTracer,
+}
 
-    #[derive(Debug, Default)]
-    struct RegistryInner {
-        counters: Mutex<BTreeMap<String, Counter>>,
-        histograms: Mutex<BTreeMap<String, Histogram>>,
-        tracer: Tracer,
-        spans: SpanTracer,
+/// Shared handle onto one metric namespace. Clones are views of the
+/// same registry; a component that holds any handle keeps the
+/// backing storage alive.
+#[derive(Debug, Clone, Default)]
+pub struct Registry(Arc<RegistryInner>);
+
+impl Registry {
+    /// Creates an empty registry with the default trace capacity.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Shared handle onto one metric namespace. Clones are views of the
-    /// same registry; a component that holds any handle keeps the
-    /// backing storage alive.
-    #[derive(Debug, Clone, Default)]
-    pub struct Registry(Arc<RegistryInner>);
+    /// The counter registered under `name`, creating it on first use.
+    /// All callers asking for the same name share one cell.
+    pub fn counter(&self, name: &str) -> Counter {
+        let mut counters = self.0.counters.lock().expect("registry lock poisoned");
+        counters.entry(name.to_owned()).or_default().clone()
+    }
 
-    impl Registry {
-        /// Creates an empty registry with the default trace capacity.
-        pub fn new() -> Self {
-            Self::default()
-        }
+    /// The histogram registered under `name`, creating it on first
+    /// use. All callers asking for the same name share one cell.
+    pub fn histogram(&self, name: &str) -> Histogram {
+        let mut histograms = self.0.histograms.lock().expect("registry lock poisoned");
+        histograms.entry(name.to_owned()).or_default().clone()
+    }
 
-        /// Creates an empty registry whose event tracer and span tracer
-        /// each hold at most `capacity` events.
-        pub fn with_trace_capacity(capacity: usize) -> Self {
-            Self(Arc::new(RegistryInner {
-                tracer: Tracer::with_capacity(capacity),
-                spans: SpanTracer::with_capacity(capacity),
-                ..RegistryInner::default()
-            }))
-        }
+    /// The registry's event tracer.
+    pub fn tracer(&self) -> Tracer {
+        self.0.tracer.clone()
+    }
 
-        /// The counter registered under `name`, creating it on first use.
-        /// All callers asking for the same name share one cell.
-        pub fn counter(&self, name: &str) -> Counter {
-            let mut counters = self.0.counters.lock().expect("registry lock poisoned");
-            counters.entry(name.to_owned()).or_default().clone()
-        }
+    /// The registry's hierarchical span tracer.
+    pub fn spans(&self) -> SpanTracer {
+        self.0.spans.clone()
+    }
 
-        /// The histogram registered under `name`, creating it on first
-        /// use. All callers asking for the same name share one cell.
-        pub fn histogram(&self, name: &str) -> Histogram {
-            let mut histograms = self.0.histograms.lock().expect("registry lock poisoned");
-            histograms.entry(name.to_owned()).or_default().clone()
-        }
-
-        /// The registry's event tracer.
-        pub fn tracer(&self) -> Tracer {
-            self.0.tracer.clone()
-        }
-
-        /// The registry's hierarchical span tracer.
-        pub fn spans(&self) -> SpanTracer {
-            self.0.spans.clone()
-        }
-
-        /// Freezes every registered metric into a [`Snapshot`].
-        pub fn snapshot(&self) -> Snapshot {
-            let counters = self
-                .0
-                .counters
-                .lock()
-                .expect("registry lock poisoned")
-                .iter()
-                .map(|(name, c)| (name.clone(), c.get()))
-                .collect();
-            let histograms = self
-                .0
-                .histograms
-                .lock()
-                .expect("registry lock poisoned")
-                .iter()
-                .map(|(name, h)| (name.clone(), h.snapshot()))
-                .collect();
-            Snapshot {
-                counters,
-                histograms,
-                trace_dropped: self.0.tracer.dropped(),
-                span_dropped: self.0.spans.dropped(),
-            }
+    /// Freezes every registered metric into a [`Snapshot`].
+    pub fn snapshot(&self) -> Snapshot {
+        let counters = self
+            .0
+            .counters
+            .lock()
+            .expect("registry lock poisoned")
+            .iter()
+            .map(|(name, c)| (name.clone(), c.get()))
+            .collect();
+        let histograms = self
+            .0
+            .histograms
+            .lock()
+            .expect("registry lock poisoned")
+            .iter()
+            .map(|(name, h)| (name.clone(), h.snapshot()))
+            .collect();
+        Snapshot {
+            counters,
+            histograms,
+            trace_dropped: self.0.tracer.dropped(),
+            span_dropped: self.0.spans.dropped(),
         }
     }
 }
-
-#[cfg(not(feature = "on"))]
-mod disabled {
-    use super::*;
-
-    /// No-op registry (telemetry compiled out).
-    #[derive(Debug, Clone, Copy, Default)]
-    pub struct Registry;
-
-    impl Registry {
-        /// Creates a no-op registry.
-        pub fn new() -> Self {
-            Self
-        }
-
-        /// Creates a no-op registry (capacity ignored).
-        pub fn with_trace_capacity(_capacity: usize) -> Self {
-            Self
-        }
-
-        /// A no-op counter.
-        #[inline(always)]
-        pub fn counter(&self, _name: &str) -> Counter {
-            Counter
-        }
-
-        /// A no-op histogram.
-        #[inline(always)]
-        pub fn histogram(&self, _name: &str) -> Histogram {
-            Histogram
-        }
-
-        /// A no-op tracer.
-        #[inline(always)]
-        pub fn tracer(&self) -> Tracer {
-            Tracer
-        }
-
-        /// A no-op span tracer.
-        #[inline(always)]
-        pub fn spans(&self) -> SpanTracer {
-            SpanTracer
-        }
-
-        /// Always empty.
-        pub fn snapshot(&self) -> Snapshot {
-            Snapshot::default()
-        }
-    }
-}
-
-#[cfg(feature = "on")]
-pub use enabled::Registry;
-
-#[cfg(not(feature = "on"))]
-pub use disabled::Registry;
 
 #[cfg(test)]
 mod tests {
@@ -165,14 +94,9 @@ mod tests {
         let b = registry.counter("tlb.l1d.hits");
         a.add(2);
         b.add(3);
-        if crate::enabled() {
-            assert_eq!(registry.snapshot().counter("tlb.l1d.hits"), 5);
-        } else {
-            assert_eq!(registry.snapshot().counter("tlb.l1d.hits"), 0);
-        }
+        assert_eq!(registry.snapshot().counter("tlb.l1d.hits"), 5);
     }
 
-    #[cfg(feature = "on")]
     #[test]
     fn snapshot_delta_windows_activity() {
         let registry = Registry::new();
@@ -191,14 +115,5 @@ mod tests {
         assert_eq!(h.count, 1);
         assert_eq!(h.sum, 7);
         assert_eq!(h.min, 7);
-    }
-
-    #[cfg(not(feature = "on"))]
-    #[test]
-    fn disabled_registry_is_zero_sized_and_empty() {
-        assert_eq!(std::mem::size_of::<Registry>(), 0);
-        let registry = Registry::new();
-        registry.counter("x").add(9);
-        assert!(registry.snapshot().counters.is_empty());
     }
 }

@@ -27,11 +27,10 @@
 //! suppresses its matching end) so the export always has balanced B/E
 //! pairs per track, and every dropped event is counted exactly —
 //! truncated traces are never silently read as complete.
-//!
-//! With `--no-default-features` the tracer is a zero-sized no-op, like
-//! every other bf-telemetry handle.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Mutex};
 
 /// One Chrome trace track: `pid` groups tracks (we use the CCID, or
 /// [`SpanTrack::MACHINE_PID`] for machine-level counter tracks), `tid`
@@ -99,466 +98,331 @@ pub struct SpanEvent {
 /// Default event-buffer capacity of [`SpanTracer::new`].
 pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 16;
 
-#[cfg(feature = "on")]
-mod enabled {
-    use super::{SpanEvent, SpanPhase, SpanTrack, DEFAULT_SPAN_CAPACITY};
-    use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-    use std::sync::{Arc, Mutex};
+#[derive(Debug, Default)]
+struct SpanState {
+    events: Vec<SpanEvent>,
+    /// Open-span name stacks per track (for matching `end`s).
+    open: BTreeMap<SpanTrack, Vec<&'static str>>,
+    /// Depth of dropped (not recorded) begins per track: while > 0,
+    /// nested begins/ends are swallowed so recorded pairs balance.
+    drop_depth: BTreeMap<SpanTrack, u64>,
+    dropped: u64,
+}
 
-    #[derive(Debug, Default)]
-    struct SpanState {
-        events: Vec<SpanEvent>,
-        /// Open-span name stacks per track (for matching `end`s).
-        open: BTreeMap<SpanTrack, Vec<&'static str>>,
-        /// Depth of dropped (not recorded) begins per track: while > 0,
-        /// nested begins/ends are swallowed so recorded pairs balance.
-        drop_depth: BTreeMap<SpanTrack, u64>,
-        dropped: u64,
+#[derive(Debug)]
+struct SpanInner {
+    capacity: usize,
+    /// Trace every Nth sampled access; 0 disables tracing.
+    sample_every: AtomicU64,
+    /// Accesses offered to the sampling gate so far.
+    seq: AtomicU64,
+    /// Current simulated cycle (the machine advances this).
+    now: AtomicU64,
+    /// Current track, packed `pid << 32 | tid`.
+    track: AtomicU64,
+    /// Whether the current access is being traced.
+    active: AtomicBool,
+    state: Mutex<SpanState>,
+}
+
+/// Shared recording handle for hierarchical spans. Clones are views
+/// of the same buffer (like every bf-telemetry handle).
+#[derive(Debug, Clone)]
+pub struct SpanTracer(Arc<SpanInner>);
+
+impl Default for SpanTracer {
+    fn default() -> Self {
+        Self::with_capacity(DEFAULT_SPAN_CAPACITY)
+    }
+}
+
+impl SpanTracer {
+    /// A tracer with the default buffer capacity, sampling disabled.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    #[derive(Debug)]
-    struct SpanInner {
-        capacity: usize,
-        /// Trace every Nth sampled access; 0 disables tracing.
-        sample_every: AtomicU64,
-        /// Accesses offered to the sampling gate so far.
-        seq: AtomicU64,
-        /// Current simulated cycle (the machine advances this).
-        now: AtomicU64,
-        /// Current track, packed `pid << 32 | tid`.
-        track: AtomicU64,
-        /// Whether the current access is being traced.
-        active: AtomicBool,
-        state: Mutex<SpanState>,
+    /// A tracer holding at most `capacity` events (ends that close
+    /// an already-recorded begin may exceed it, bounded by the open
+    /// depth, so pairs stay balanced).
+    pub fn with_capacity(capacity: usize) -> Self {
+        SpanTracer(Arc::new(SpanInner {
+            capacity,
+            sample_every: AtomicU64::new(0),
+            seq: AtomicU64::new(0),
+            now: AtomicU64::new(0),
+            track: AtomicU64::new(0),
+            active: AtomicBool::new(false),
+            state: Mutex::new(SpanState::default()),
+        }))
     }
 
-    /// Shared recording handle for hierarchical spans. Clones are views
-    /// of the same buffer (like every bf-telemetry handle).
-    #[derive(Debug, Clone)]
-    pub struct SpanTracer(Arc<SpanInner>);
-
-    impl Default for SpanTracer {
-        fn default() -> Self {
-            Self::with_capacity(DEFAULT_SPAN_CAPACITY)
-        }
+    /// Traces every `every`-th access offered to
+    /// [`SpanTracer::sample_access`]; 0 turns tracing off.
+    pub fn set_sampling(&self, every: u64) {
+        self.0.sample_every.store(every, Relaxed);
     }
 
-    impl SpanTracer {
-        /// A tracer with the default buffer capacity, sampling disabled.
-        pub fn new() -> Self {
-            Self::default()
-        }
+    /// The current sampling interval (0 = off).
+    pub fn sampling(&self) -> u64 {
+        self.0.sample_every.load(Relaxed)
+    }
 
-        /// A tracer holding at most `capacity` events (ends that close
-        /// an already-recorded begin may exceed it, bounded by the open
-        /// depth, so pairs stay balanced).
-        pub fn with_capacity(capacity: usize) -> Self {
-            SpanTracer(Arc::new(SpanInner {
-                capacity,
-                sample_every: AtomicU64::new(0),
-                seq: AtomicU64::new(0),
-                now: AtomicU64::new(0),
-                track: AtomicU64::new(0),
-                active: AtomicBool::new(false),
-                state: Mutex::new(SpanState::default()),
-            }))
-        }
-
-        /// Traces every `every`-th access offered to
-        /// [`SpanTracer::sample_access`]; 0 turns tracing off.
-        pub fn set_sampling(&self, every: u64) {
-            self.0.sample_every.store(every, Relaxed);
-        }
-
-        /// The current sampling interval (0 = off).
-        pub fn sampling(&self) -> u64 {
-            self.0.sample_every.load(Relaxed)
-        }
-
-        /// The sampling gate: offers one access starting at cycle `now`
-        /// on `track`. Returns (and latches) whether this access is
-        /// traced; until the next call every span/instant call records
-        /// or no-ops accordingly.
-        pub fn sample_access(&self, track: SpanTrack, now: u64) -> bool {
-            let every = self.0.sample_every.load(Relaxed);
-            if every == 0 {
-                self.0.active.store(false, Relaxed);
-                return false;
-            }
-            let seq = self.0.seq.load(Relaxed);
-            self.0.seq.store(seq.wrapping_add(1), Relaxed);
-            let take = seq.is_multiple_of(every);
-            if take {
-                self.set_track(track);
-                self.set_now(now);
-            }
-            self.0.active.store(take, Relaxed);
-            take
-        }
-
-        /// Ends the current traced access (recording stops until the
-        /// next [`SpanTracer::sample_access`]).
-        pub fn finish_access(&self) {
+    /// The sampling gate: offers one access starting at cycle `now`
+    /// on `track`. Returns (and latches) whether this access is
+    /// traced; until the next call every span/instant call records
+    /// or no-ops accordingly.
+    pub fn sample_access(&self, track: SpanTrack, now: u64) -> bool {
+        let every = self.0.sample_every.load(Relaxed);
+        if every == 0 {
             self.0.active.store(false, Relaxed);
+            return false;
         }
-
-        /// Whether the current access is being traced. Callers use this
-        /// to skip *computing* expensive event arguments; the recording
-        /// methods themselves are already gated.
-        #[inline]
-        pub fn is_active(&self) -> bool {
-            self.0.active.load(Relaxed)
+        let seq = self.0.seq.load(Relaxed);
+        self.0.seq.store(seq.wrapping_add(1), Relaxed);
+        let take = seq.is_multiple_of(every);
+        if take {
+            self.set_track(track);
+            self.set_now(now);
         }
+        self.0.active.store(take, Relaxed);
+        take
+    }
 
-        /// Sets the current simulated cycle.
-        #[inline]
-        pub fn set_now(&self, cycle: u64) {
-            self.0.now.store(cycle, Relaxed);
+    /// Ends the current traced access (recording stops until the
+    /// next [`SpanTracer::sample_access`]).
+    pub fn finish_access(&self) {
+        self.0.active.store(false, Relaxed);
+    }
+
+    /// Whether the current access is being traced. Callers use this
+    /// to skip *computing* expensive event arguments; the recording
+    /// methods themselves are already gated.
+    #[inline]
+    pub fn is_active(&self) -> bool {
+        self.0.active.load(Relaxed)
+    }
+
+    /// Sets the current simulated cycle.
+    #[inline]
+    pub fn set_now(&self, cycle: u64) {
+        self.0.now.store(cycle, Relaxed);
+    }
+
+    /// The current simulated cycle.
+    #[inline]
+    pub fn now(&self) -> u64 {
+        self.0.now.load(Relaxed)
+    }
+
+    /// Sets the current track.
+    pub fn set_track(&self, track: SpanTrack) {
+        self.0
+            .track
+            .store(((track.pid as u64) << 32) | track.tid as u64, Relaxed);
+    }
+
+    /// The current track.
+    pub fn track(&self) -> SpanTrack {
+        let packed = self.0.track.load(Relaxed);
+        SpanTrack {
+            pid: (packed >> 32) as u32,
+            tid: packed as u32,
         }
+    }
 
-        /// The current simulated cycle.
-        #[inline]
-        pub fn now(&self) -> u64 {
-            self.0.now.load(Relaxed)
+    /// Opens a span named `name` at the current cycle on the current
+    /// track. Must be paired with [`SpanTracer::end`].
+    pub fn begin(&self, name: &'static str, args: &[(&'static str, u64)]) {
+        if !self.is_active() {
+            return;
         }
-
-        /// Sets the current track.
-        pub fn set_track(&self, track: SpanTrack) {
-            self.0
-                .track
-                .store(((track.pid as u64) << 32) | track.tid as u64, Relaxed);
+        let (ts, track) = (self.now(), self.track());
+        let mut st = self.0.state.lock().expect("span lock poisoned");
+        let dropping = st.drop_depth.get(&track).copied().unwrap_or(0) > 0;
+        if dropping || st.events.len() >= self.capacity() {
+            *st.drop_depth.entry(track).or_insert(0) += 1;
+            st.dropped += 1;
+            return;
         }
+        st.open.entry(track).or_default().push(name);
+        st.events.push(SpanEvent {
+            ts,
+            track,
+            name,
+            phase: SpanPhase::Begin,
+            args: args.to_vec(),
+        });
+    }
 
-        /// The current track.
-        pub fn track(&self) -> SpanTrack {
-            let packed = self.0.track.load(Relaxed);
-            SpanTrack {
-                pid: (packed >> 32) as u32,
-                tid: packed as u32,
-            }
+    /// Closes the innermost open span on the current track at the
+    /// current cycle. A close with nothing open is ignored.
+    pub fn end(&self) {
+        if !self.is_active() {
+            return;
         }
-
-        /// Opens a span named `name` at the current cycle on the current
-        /// track. Must be paired with [`SpanTracer::end`].
-        pub fn begin(&self, name: &'static str, args: &[(&'static str, u64)]) {
-            if !self.is_active() {
-                return;
-            }
-            let (ts, track) = (self.now(), self.track());
-            let mut st = self.0.state.lock().expect("span lock poisoned");
-            let dropping = st.drop_depth.get(&track).copied().unwrap_or(0) > 0;
-            if dropping || st.events.len() >= self.capacity() {
-                *st.drop_depth.entry(track).or_insert(0) += 1;
+        let (ts, track) = (self.now(), self.track());
+        let mut st = self.0.state.lock().expect("span lock poisoned");
+        if let Some(depth) = st.drop_depth.get_mut(&track) {
+            if *depth > 0 {
+                *depth -= 1;
                 st.dropped += 1;
                 return;
             }
-            st.open.entry(track).or_default().push(name);
+        }
+        if let Some(name) = st.open.get_mut(&track).and_then(|stack| stack.pop()) {
+            // Recorded begins always get their end, even past
+            // capacity (bounded by the open depth), so pairs stay
+            // balanced under truncation.
             st.events.push(SpanEvent {
                 ts,
-                track,
-                name,
-                phase: SpanPhase::Begin,
-                args: args.to_vec(),
-            });
-        }
-
-        /// Closes the innermost open span on the current track at the
-        /// current cycle. A close with nothing open is ignored.
-        pub fn end(&self) {
-            if !self.is_active() {
-                return;
-            }
-            let (ts, track) = (self.now(), self.track());
-            let mut st = self.0.state.lock().expect("span lock poisoned");
-            if let Some(depth) = st.drop_depth.get_mut(&track) {
-                if *depth > 0 {
-                    *depth -= 1;
-                    st.dropped += 1;
-                    return;
-                }
-            }
-            if let Some(name) = st.open.get_mut(&track).and_then(|stack| stack.pop()) {
-                // Recorded begins always get their end, even past
-                // capacity (bounded by the open depth), so pairs stay
-                // balanced under truncation.
-                st.events.push(SpanEvent {
-                    ts,
-                    track,
-                    name,
-                    phase: SpanPhase::End,
-                    args: Vec::new(),
-                });
-            }
-        }
-
-        /// Records a complete span covering `[now, now + duration]` —
-        /// for components that know an operation's cost only after the
-        /// fact (e.g. the kernel fault path).
-        pub fn span(&self, name: &'static str, duration: u64, args: &[(&'static str, u64)]) {
-            if !self.is_active() {
-                return;
-            }
-            let (ts, track) = (self.now(), self.track());
-            let mut st = self.0.state.lock().expect("span lock poisoned");
-            let dropping = st.drop_depth.get(&track).copied().unwrap_or(0) > 0;
-            if dropping || st.events.len() + 2 > self.capacity() {
-                st.dropped += 2;
-                return;
-            }
-            st.events.push(SpanEvent {
-                ts,
-                track,
-                name,
-                phase: SpanPhase::Begin,
-                args: args.to_vec(),
-            });
-            st.events.push(SpanEvent {
-                ts: ts + duration,
                 track,
                 name,
                 phase: SpanPhase::End,
                 args: Vec::new(),
             });
         }
+    }
 
-        /// Records a point event at the current cycle on the current
-        /// track.
-        pub fn instant(&self, name: &'static str, args: &[(&'static str, u64)]) {
-            if !self.is_active() {
-                return;
+    /// Records a complete span covering `[now, now + duration]` —
+    /// for components that know an operation's cost only after the
+    /// fact (e.g. the kernel fault path).
+    pub fn span(&self, name: &'static str, duration: u64, args: &[(&'static str, u64)]) {
+        if !self.is_active() {
+            return;
+        }
+        let (ts, track) = (self.now(), self.track());
+        let mut st = self.0.state.lock().expect("span lock poisoned");
+        let dropping = st.drop_depth.get(&track).copied().unwrap_or(0) > 0;
+        if dropping || st.events.len() + 2 > self.capacity() {
+            st.dropped += 2;
+            return;
+        }
+        st.events.push(SpanEvent {
+            ts,
+            track,
+            name,
+            phase: SpanPhase::Begin,
+            args: args.to_vec(),
+        });
+        st.events.push(SpanEvent {
+            ts: ts + duration,
+            track,
+            name,
+            phase: SpanPhase::End,
+            args: Vec::new(),
+        });
+    }
+
+    /// Records a point event at the current cycle on the current
+    /// track.
+    pub fn instant(&self, name: &'static str, args: &[(&'static str, u64)]) {
+        if !self.is_active() {
+            return;
+        }
+        let (ts, track) = (self.now(), self.track());
+        self.push_leaf(SpanEvent {
+            ts,
+            track,
+            name,
+            phase: SpanPhase::Instant,
+            args: args.to_vec(),
+        });
+    }
+
+    /// Records a counter sample (its own series lane in Perfetto) on
+    /// an explicit track at the current cycle.
+    pub fn counter(&self, track: SpanTrack, name: &'static str, value: u64) {
+        if !self.is_active() {
+            return;
+        }
+        self.push_leaf(SpanEvent {
+            ts: self.now(),
+            track,
+            name,
+            phase: SpanPhase::Counter,
+            args: vec![("value", value)],
+        });
+    }
+
+    fn push_leaf(&self, event: SpanEvent) {
+        let mut st = self.0.state.lock().expect("span lock poisoned");
+        if st.events.len() >= self.capacity() {
+            st.dropped += 1;
+            return;
+        }
+        st.events.push(event);
+    }
+
+    fn capacity(&self) -> usize {
+        self.0.capacity
+    }
+
+    /// Events recorded so far.
+    pub fn len(&self) -> usize {
+        self.0
+            .state
+            .lock()
+            .expect("span lock poisoned")
+            .events
+            .len()
+    }
+
+    /// Whether nothing has been recorded.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Events dropped because the buffer was full — exact, so a
+    /// truncated trace is never silently read as complete.
+    pub fn dropped(&self) -> u64 {
+        self.0.state.lock().expect("span lock poisoned").dropped
+    }
+
+    /// A copy of the recorded events (tests and custom exporters).
+    pub fn events(&self) -> Vec<SpanEvent> {
+        self.0
+            .state
+            .lock()
+            .expect("span lock poisoned")
+            .events
+            .clone()
+    }
+
+    /// Builds the Chrome trace-event JSON document (see
+    /// [`validate_chrome_trace`] for the invariants it
+    /// guarantees). Spans still open at export time are closed at
+    /// the latest recorded cycle so B/E pairs always balance.
+    pub fn chrome_trace(&self) -> serde::Value {
+        let st = self.0.state.lock().expect("span lock poisoned");
+        let mut events = st.events.clone();
+        let max_ts = events.iter().map(|e| e.ts).max().unwrap_or(0);
+        for (track, stack) in &st.open {
+            for name in stack.iter().rev() {
+                events.push(SpanEvent {
+                    ts: max_ts,
+                    track: *track,
+                    name,
+                    phase: SpanPhase::End,
+                    args: Vec::new(),
+                });
             }
-            let (ts, track) = (self.now(), self.track());
-            self.push_leaf(SpanEvent {
-                ts,
-                track,
-                name,
-                phase: SpanPhase::Instant,
-                args: args.to_vec(),
-            });
         }
+        let dropped = st.dropped;
+        drop(st);
+        // Per-track insertion order is already cycle-sorted; a
+        // stable global sort makes the whole stream monotonic
+        // without reordering any track's own events.
+        events.sort_by_key(|e| e.ts);
+        build_chrome_doc(&events, dropped, self.sampling())
+    }
 
-        /// Records a counter sample (its own series lane in Perfetto) on
-        /// an explicit track at the current cycle.
-        pub fn counter(&self, track: SpanTrack, name: &'static str, value: u64) {
-            if !self.is_active() {
-                return;
-            }
-            self.push_leaf(SpanEvent {
-                ts: self.now(),
-                track,
-                name,
-                phase: SpanPhase::Counter,
-                args: vec![("value", value)],
-            });
-        }
-
-        fn push_leaf(&self, event: SpanEvent) {
-            let mut st = self.0.state.lock().expect("span lock poisoned");
-            if st.events.len() >= self.capacity() {
-                st.dropped += 1;
-                return;
-            }
-            st.events.push(event);
-        }
-
-        fn capacity(&self) -> usize {
-            self.0.capacity
-        }
-
-        /// Events recorded so far.
-        pub fn len(&self) -> usize {
-            self.0
-                .state
-                .lock()
-                .expect("span lock poisoned")
-                .events
-                .len()
-        }
-
-        /// Whether nothing has been recorded.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-
-        /// Events dropped because the buffer was full — exact, so a
-        /// truncated trace is never silently read as complete.
-        pub fn dropped(&self) -> u64 {
-            self.0.state.lock().expect("span lock poisoned").dropped
-        }
-
-        /// A copy of the recorded events (tests and custom exporters).
-        pub fn events(&self) -> Vec<SpanEvent> {
-            self.0
-                .state
-                .lock()
-                .expect("span lock poisoned")
-                .events
-                .clone()
-        }
-
-        /// Builds the Chrome trace-event JSON document (see
-        /// [`super::validate_chrome_trace`] for the invariants it
-        /// guarantees). Spans still open at export time are closed at
-        /// the latest recorded cycle so B/E pairs always balance.
-        pub fn chrome_trace(&self) -> serde::Value {
-            let st = self.0.state.lock().expect("span lock poisoned");
-            let mut events = st.events.clone();
-            let max_ts = events.iter().map(|e| e.ts).max().unwrap_or(0);
-            for (track, stack) in &st.open {
-                for name in stack.iter().rev() {
-                    events.push(SpanEvent {
-                        ts: max_ts,
-                        track: *track,
-                        name,
-                        phase: SpanPhase::End,
-                        args: Vec::new(),
-                    });
-                }
-            }
-            let dropped = st.dropped;
-            drop(st);
-            // Per-track insertion order is already cycle-sorted; a
-            // stable global sort makes the whole stream monotonic
-            // without reordering any track's own events.
-            events.sort_by_key(|e| e.ts);
-            super::build_chrome_doc(&events, dropped, self.sampling())
-        }
-
-        /// Writes [`SpanTracer::chrome_trace`] to `path` as pretty JSON
-        /// (creating parent directories), e.g. `results/trace-fig10.json`.
-        pub fn write_chrome_trace(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-            crate::export::write_json(path, &self.chrome_trace())
-        }
+    /// Writes [`SpanTracer::chrome_trace`] to `path` as pretty JSON
+    /// (creating parent directories), e.g. `results/trace-fig10.json`.
+    pub fn write_chrome_trace(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
+        crate::export::write_json(path, &self.chrome_trace())
     }
 }
-
-#[cfg(not(feature = "on"))]
-mod disabled {
-    use super::{SpanEvent, SpanTrack};
-
-    /// No-op span tracer (telemetry compiled out). Deliberately not
-    /// `Copy`, matching the enabled `Arc`-backed handle's API exactly.
-    #[derive(Debug, Clone, Default)]
-    pub struct SpanTracer;
-
-    impl SpanTracer {
-        /// Creates a no-op tracer.
-        pub fn new() -> Self {
-            Self
-        }
-
-        /// Creates a no-op tracer (capacity ignored).
-        pub fn with_capacity(_capacity: usize) -> Self {
-            Self
-        }
-
-        /// Does nothing.
-        #[inline(always)]
-        pub fn set_sampling(&self, _every: u64) {}
-
-        /// Always 0 (off).
-        #[inline(always)]
-        pub fn sampling(&self) -> u64 {
-            0
-        }
-
-        /// Never samples.
-        #[inline(always)]
-        pub fn sample_access(&self, _track: SpanTrack, _now: u64) -> bool {
-            false
-        }
-
-        /// Does nothing.
-        #[inline(always)]
-        pub fn finish_access(&self) {}
-
-        /// Always false (lets argument-building code compile out).
-        #[inline(always)]
-        pub fn is_active(&self) -> bool {
-            false
-        }
-
-        /// Does nothing.
-        #[inline(always)]
-        pub fn set_now(&self, _cycle: u64) {}
-
-        /// Always 0.
-        #[inline(always)]
-        pub fn now(&self) -> u64 {
-            0
-        }
-
-        /// Does nothing.
-        #[inline(always)]
-        pub fn set_track(&self, _track: SpanTrack) {}
-
-        /// Always the zero track.
-        #[inline(always)]
-        pub fn track(&self) -> SpanTrack {
-            SpanTrack::new(0, 0)
-        }
-
-        /// Does nothing.
-        #[inline(always)]
-        pub fn begin(&self, _name: &'static str, _args: &[(&'static str, u64)]) {}
-
-        /// Does nothing.
-        #[inline(always)]
-        pub fn end(&self) {}
-
-        /// Does nothing.
-        #[inline(always)]
-        pub fn span(&self, _name: &'static str, _duration: u64, _args: &[(&'static str, u64)]) {}
-
-        /// Does nothing.
-        #[inline(always)]
-        pub fn instant(&self, _name: &'static str, _args: &[(&'static str, u64)]) {}
-
-        /// Does nothing.
-        #[inline(always)]
-        pub fn counter(&self, _track: SpanTrack, _name: &'static str, _value: u64) {}
-
-        /// Always 0.
-        #[inline(always)]
-        pub fn len(&self) -> usize {
-            0
-        }
-
-        /// Always true.
-        #[inline(always)]
-        pub fn is_empty(&self) -> bool {
-            true
-        }
-
-        /// Always 0.
-        #[inline(always)]
-        pub fn dropped(&self) -> u64 {
-            0
-        }
-
-        /// Always empty.
-        pub fn events(&self) -> Vec<SpanEvent> {
-            Vec::new()
-        }
-
-        /// An empty (but valid) Chrome trace document.
-        pub fn chrome_trace(&self) -> serde::Value {
-            super::build_chrome_doc(&[], 0, 0)
-        }
-
-        /// Writes the empty document (export plumbing needs no gating).
-        pub fn write_chrome_trace(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-            crate::export::write_json(path, &self.chrome_trace())
-        }
-    }
-}
-
-#[cfg(feature = "on")]
-pub use enabled::SpanTracer;
-
-#[cfg(not(feature = "on"))]
-pub use disabled::SpanTracer;
 
 /// Renders events (already globally sorted by `ts`) as a Chrome
 /// trace-event document: per-track `process_name`/`thread_name` metadata
@@ -773,7 +637,6 @@ pub fn validate_chrome_trace(doc: &serde::Value) -> Result<ChromeTraceSummary, S
 mod tests {
     use super::*;
 
-    #[cfg(feature = "on")]
     fn traced() -> SpanTracer {
         let tracer = SpanTracer::with_capacity(1024);
         tracer.set_sampling(1);
@@ -781,7 +644,6 @@ mod tests {
         tracer
     }
 
-    #[cfg(feature = "on")]
     #[test]
     fn nested_spans_export_balanced_and_sorted() {
         let tracer = traced();
@@ -806,7 +668,6 @@ mod tests {
         assert_eq!(tracer.dropped(), 0);
     }
 
-    #[cfg(feature = "on")]
     #[test]
     fn unsampled_accesses_record_nothing() {
         let tracer = SpanTracer::with_capacity(64);
@@ -821,7 +682,6 @@ mod tests {
         assert_eq!(tracer.len(), 2, "only the sampled access recorded");
     }
 
-    #[cfg(feature = "on")]
     #[test]
     fn sampling_zero_disables_tracing() {
         let tracer = SpanTracer::new();
@@ -831,7 +691,6 @@ mod tests {
         assert!(tracer.is_empty());
     }
 
-    #[cfg(feature = "on")]
     #[test]
     fn overflow_drops_whole_subtrees_and_counts_exactly() {
         let tracer = SpanTracer::with_capacity(2);
@@ -855,7 +714,6 @@ mod tests {
         assert_eq!(tracer.len() as u64 + tracer.dropped(), offered);
     }
 
-    #[cfg(feature = "on")]
     #[test]
     fn open_spans_are_closed_at_export() {
         let tracer = traced();
@@ -912,20 +770,5 @@ mod tests {
         // Balanced and ordered passes.
         let ok = validate_chrome_trace(&doc(vec![event("B", "a", 0), event("E", "a", 2)]));
         assert_eq!(ok.unwrap().begins, 1);
-    }
-
-    #[cfg(not(feature = "on"))]
-    #[test]
-    fn disabled_tracer_is_zero_sized_and_silent() {
-        assert_eq!(std::mem::size_of::<SpanTracer>(), 0);
-        let tracer = SpanTracer::new();
-        tracer.set_sampling(1);
-        assert!(!tracer.sample_access(SpanTrack::new(0, 1), 0));
-        tracer.begin("a", &[]);
-        tracer.instant("b", &[]);
-        tracer.end();
-        assert_eq!(tracer.len(), 0);
-        assert_eq!(tracer.dropped(), 0);
-        assert!(tracer.events().is_empty());
     }
 }

@@ -8,6 +8,8 @@
 
 use serde::Serialize;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Mutex};
 
 /// What kind of simulator event a [`TraceEvent`] records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -63,147 +65,78 @@ impl Serialize for TraceEvent {
     }
 }
 
-#[cfg(feature = "on")]
-mod enabled {
-    use super::TraceEvent;
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-    use std::sync::{Arc, Mutex};
+#[derive(Debug)]
+struct TracerInner {
+    capacity: usize,
+    events: Mutex<Vec<TraceEvent>>,
+    dropped: AtomicU64,
+}
 
-    #[derive(Debug)]
-    struct TracerInner {
-        capacity: usize,
-        events: Mutex<Vec<TraceEvent>>,
-        dropped: AtomicU64,
+/// Shared handle onto one bounded event buffer.
+#[derive(Debug, Clone)]
+pub struct Tracer(Arc<TracerInner>);
+
+impl Tracer {
+    /// Default ring capacity used by [`crate::Registry::new`].
+    pub const DEFAULT_CAPACITY: usize = 4096;
+
+    /// Creates a tracer holding at most `capacity` events.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self(Arc::new(TracerInner {
+            capacity,
+            events: Mutex::new(Vec::new()),
+            dropped: AtomicU64::new(0),
+        }))
     }
 
-    /// Shared handle onto one bounded event buffer.
-    #[derive(Debug, Clone)]
-    pub struct Tracer(Arc<TracerInner>);
-
-    impl Tracer {
-        /// Default ring capacity used by [`crate::Registry::new`].
-        pub const DEFAULT_CAPACITY: usize = 4096;
-
-        /// Creates a tracer holding at most `capacity` events.
-        pub fn with_capacity(capacity: usize) -> Self {
-            Self(Arc::new(TracerInner {
-                capacity,
-                events: Mutex::new(Vec::new()),
-                dropped: AtomicU64::new(0),
-            }))
-        }
-
-        /// Records `event`, or counts it as dropped if the buffer is full.
-        pub fn record(&self, event: TraceEvent) {
-            let mut events = self.0.events.lock().expect("tracer lock poisoned");
-            if events.len() < self.0.capacity {
-                events.push(event);
-            } else {
-                drop(events);
-                self.0.dropped.fetch_add(1, Relaxed);
-            }
-        }
-
-        /// A copy of the buffered events, in record order.
-        pub fn events(&self) -> Vec<TraceEvent> {
-            self.0.events.lock().expect("tracer lock poisoned").clone()
-        }
-
-        /// Number of buffered events.
-        pub fn len(&self) -> usize {
-            self.0.events.lock().expect("tracer lock poisoned").len()
-        }
-
-        /// Whether no events are buffered.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-
-        /// Maximum number of events the buffer holds.
-        pub fn capacity(&self) -> usize {
-            self.0.capacity
-        }
-
-        /// Events offered after the buffer filled.
-        pub fn dropped(&self) -> u64 {
-            self.0.dropped.load(Relaxed)
-        }
-
-        /// Empties the buffer and resets the drop counter.
-        pub fn clear(&self) {
-            self.0.events.lock().expect("tracer lock poisoned").clear();
-            self.0.dropped.store(0, Relaxed);
+    /// Records `event`, or counts it as dropped if the buffer is full.
+    pub fn record(&self, event: TraceEvent) {
+        let mut events = self.0.events.lock().expect("tracer lock poisoned");
+        if events.len() < self.0.capacity {
+            events.push(event);
+        } else {
+            drop(events);
+            self.0.dropped.fetch_add(1, Relaxed);
         }
     }
 
-    impl Default for Tracer {
-        fn default() -> Self {
-            Self::with_capacity(Self::DEFAULT_CAPACITY)
-        }
+    /// A copy of the buffered events, in record order.
+    pub fn events(&self) -> Vec<TraceEvent> {
+        self.0.events.lock().expect("tracer lock poisoned").clone()
+    }
+
+    /// Number of buffered events.
+    pub fn len(&self) -> usize {
+        self.0.events.lock().expect("tracer lock poisoned").len()
+    }
+
+    /// Whether no events are buffered.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Maximum number of events the buffer holds.
+    pub fn capacity(&self) -> usize {
+        self.0.capacity
+    }
+
+    /// Events offered after the buffer filled.
+    pub fn dropped(&self) -> u64 {
+        self.0.dropped.load(Relaxed)
+    }
+
+    /// Empties the buffer and resets the drop counter.
+    pub fn clear(&self) {
+        self.0.events.lock().expect("tracer lock poisoned").clear();
+        self.0.dropped.store(0, Relaxed);
     }
 }
 
-#[cfg(not(feature = "on"))]
-mod disabled {
-    use super::TraceEvent;
-
-    /// No-op tracer (telemetry compiled out).
-    #[derive(Debug, Clone, Copy, Default)]
-    pub struct Tracer;
-
-    impl Tracer {
-        /// Default ring capacity (unused when off).
-        pub const DEFAULT_CAPACITY: usize = 4096;
-
-        /// Creates a no-op tracer.
-        pub fn with_capacity(_capacity: usize) -> Self {
-            Self
-        }
-
-        /// Does nothing.
-        #[inline(always)]
-        pub fn record(&self, _event: TraceEvent) {}
-
-        /// Always empty.
-        pub fn events(&self) -> Vec<TraceEvent> {
-            Vec::new()
-        }
-
-        /// Always 0.
-        #[inline(always)]
-        pub fn len(&self) -> usize {
-            0
-        }
-
-        /// Always true.
-        #[inline(always)]
-        pub fn is_empty(&self) -> bool {
-            true
-        }
-
-        /// Always 0.
-        #[inline(always)]
-        pub fn capacity(&self) -> usize {
-            0
-        }
-
-        /// Always 0.
-        #[inline(always)]
-        pub fn dropped(&self) -> u64 {
-            0
-        }
-
-        /// Does nothing.
-        #[inline(always)]
-        pub fn clear(&self) {}
+impl Default for Tracer {
+    fn default() -> Self {
+        Self::with_capacity(Self::DEFAULT_CAPACITY)
     }
 }
-
-#[cfg(feature = "on")]
-pub use enabled::Tracer;
-
-#[cfg(not(feature = "on"))]
-pub use disabled::Tracer;
 
 #[cfg(test)]
 mod tests {
@@ -221,7 +154,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "on")]
     #[test]
     fn overflow_drops_newest_with_exact_count() {
         let tracer = Tracer::with_capacity(3);

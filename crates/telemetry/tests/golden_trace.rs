@@ -59,12 +59,6 @@ fn chrome_export_matches_golden_file() {
     let doc = spans.chrome_trace();
     let summary = validate_chrome_trace(&doc).expect("export must validate");
 
-    if !bf_telemetry::enabled() {
-        // Compiled out: the export is an empty (but well-formed) trace.
-        assert_eq!(summary.begins + summary.instants + summary.counters, 0);
-        return;
-    }
-
     assert_eq!(summary.begins, summary.ends, "balanced B/E");
     assert_eq!(summary.max_depth, 2, "walk spans nest under access");
     assert_eq!(spans.dropped(), 0);

@@ -116,18 +116,12 @@ proptest! {
                 detail: "prop",
             });
         }
-        if bf_telemetry::enabled() {
-            prop_assert_eq!(tracer.dropped(), offered.saturating_sub(capacity as u64));
-            let events = tracer.events();
-            prop_assert_eq!(events.len() as u64, offered.min(capacity as u64));
-            // Drop-newest policy: the survivors are the earliest events.
-            for (i, event) in events.iter().enumerate() {
-                prop_assert_eq!(event.cycle, i as u64);
-            }
-        } else {
-            // Compiled out: the no-op ring records and drops nothing.
-            prop_assert_eq!(tracer.dropped(), 0);
-            prop_assert_eq!(tracer.events().len(), 0);
+        prop_assert_eq!(tracer.dropped(), offered.saturating_sub(capacity as u64));
+        let events = tracer.events();
+        prop_assert_eq!(events.len() as u64, offered.min(capacity as u64));
+        // Drop-newest policy: the survivors are the earliest events.
+        for (i, event) in events.iter().enumerate() {
+            prop_assert_eq!(event.cycle, i as u64);
         }
     }
 
@@ -196,11 +190,7 @@ proptest! {
         let roomy_summary =
             validate_chrome_trace(&roomy.chrome_trace()).map_err(TestCaseError)?;
         validate_chrome_trace(&tight.chrome_trace()).map_err(TestCaseError)?;
-        if bf_telemetry::enabled() {
-            prop_assert_eq!(roomy.dropped(), 0);
-            prop_assert_eq!(roomy_summary.begins, roomy_summary.ends);
-        } else {
-            prop_assert_eq!(roomy_summary.begins + roomy_summary.instants, 0);
-        }
+        prop_assert_eq!(roomy.dropped(), 0);
+        prop_assert_eq!(roomy_summary.begins, roomy_summary.ends);
     }
 }
